@@ -7,17 +7,17 @@ duplication augmentation (strip the tags, keep the admission).
 """
 
 from satdkit import (
-    Comment,
-    Label,
+    MatClassifier,
     TriggerLexicon,
     find_triggers,
-    mat_classify,
     mat_lexicon,
     remove_triggers,
+    split_identifiers,
 )
 from satdkit.lexicon import FUZZY, STRICT
 
 lexicon = mat_lexicon()
+keyword_baseline = MatClassifier(lexicon)
 print(f"default tag lexicon: {sorted(lexicon.triggers)} (mode={lexicon.mode})\n")
 
 easy = [
@@ -33,12 +33,12 @@ print("easy comments (clear trigger words):")
 for text in easy:
     spans = find_triggers(lexicon, text)
     matched = [text[s:e] for s, e in spans]
-    label = mat_classify(lexicon, Comment(0, "Demo", text, Label.SATD, "DESIGN"))
+    label = keyword_baseline.classify(split_identifiers(text))
     print(f"  {label.name:8} triggers={matched}  {text[:60]}")
 
 print("\nhard comments (debt admissions without trigger words):")
 for text in hard:
-    label = mat_classify(lexicon, Comment(0, "Demo", text, Label.SATD, "DESIGN"))
+    label = keyword_baseline.classify(split_identifiers(text))
     print(f"  {label.name:8} triggers=[]  {text[:60]}")
 print("  (the keyword baseline misses these by construction)")
 

@@ -25,7 +25,6 @@ from .classifier import (
     LinearHyper,
     LinearModelState,
     MatClassifier,
-    mat_as_classifier,
     predict_linear,
     presence_features,
     train_linear,
@@ -62,16 +61,13 @@ from .harness import (
     export_batches,
     import_predictions,
     render_report,
-    run_cross,
     run_experiment,
-    run_intra,
 )
 from .lexicon import (
     TriggerLexicon,
     dup_lexicon,
     find_triggers,
     load_lexicon,
-    mat_classify,
     mat_lexicon,
     remove_triggers,
 )
@@ -94,8 +90,7 @@ __all__ = [
     "Batch", "SamplerConfig", "dup_augment", "fmr_batches", "plain_batches",
     "rebalance_items", "write_batches_jsonl",
     "Classifier", "LinearClassifier", "LinearHyper", "LinearModelState",
-    "MatClassifier", "mat_as_classifier", "predict_linear", "presence_features",
-    "train_linear",
+    "MatClassifier", "predict_linear", "presence_features", "train_linear",
     "DATASET_G_PROJECTS", "DATASET_M_PROJECTS", "Comment", "CorpusCollection",
     "Label", "LabelMapping", "ProjectDataset", "corpus_stats",
     "format_stats_table", "load_collection", "load_label_mapping", "load_project",
@@ -104,9 +99,9 @@ __all__ = [
     "stratified_kfold",
     "EvalReport", "ExperimentConfig", "build_config", "build_vocabulary",
     "execute_run", "export_batches", "import_predictions", "render_report",
-    "run_cross", "run_experiment", "run_intra",
+    "run_experiment",
     "TriggerLexicon", "dup_lexicon", "find_triggers", "load_lexicon",
-    "mat_classify", "mat_lexicon", "remove_triggers",
+    "mat_lexicon", "remove_triggers",
     "PreprocessedText", "segment_words", "split_identifiers",
     "CandidateToken", "TokenSequence", "Vocabulary", "apply_denylist",
     "augment_vocabulary", "char_base_vocabulary", "discover_candidate_tokens",

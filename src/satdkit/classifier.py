@@ -15,10 +15,8 @@ Built-ins:
 
 from __future__ import annotations
 
-import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -26,7 +24,7 @@ from scipy.special import expit
 
 from .augment import Batch
 from .corpus import Comment, Label
-from .errors import DataError, RunError
+from .errors import RunError
 from .lexicon import TriggerLexicon, find_triggers
 from .preprocess import PreprocessedText, split_identifiers
 from .vocab import Vocabulary, tokenize
@@ -129,34 +127,6 @@ def predict_linear(
     return float(expit(z))
 
 
-def save_linear_state(state: LinearModelState, path: str | Path) -> None:
-    """Versioned JSON snapshot: vocab size, bias, nonzero weights as pairs."""
-    nonzero = np.nonzero(state.weights)[0]
-    payload = {
-        "format": "linear-state@1",
-        "vocab_size": int(state.weights.shape[0]),
-        "bias": state.bias,
-        "weights": [[int(i), float(state.weights[i])] for i in nonzero],
-        "hyper": {
-            "learning_rate": state.hyper.learning_rate,
-            "epochs": state.hyper.epochs,
-            "l2": state.hyper.l2,
-        },
-    }
-    Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
-
-
-def load_linear_state(path: str | Path) -> LinearModelState:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != "linear-state@1":
-        raise DataError(f"{path}: unsupported model state format {payload.get('format')!r}")
-    weights = np.zeros(int(payload["vocab_size"]), dtype=np.float64)
-    for i, value in payload["weights"]:
-        weights[int(i)] = float(value)
-    hyper = LinearHyper(**payload["hyper"])
-    return LinearModelState(weights=weights, bias=float(payload["bias"]), hyper=hyper)
-
-
 class Classifier(ABC):
     """Train-once, score-many contract shared by all in-process models."""
 
@@ -212,6 +182,3 @@ class MatClassifier(Classifier):
     def score(self, text: PreprocessedText) -> float:
         return 1.0 if find_triggers(self.lexicon, text.original) else 0.0
 
-
-def mat_as_classifier(lex: TriggerLexicon) -> MatClassifier:
-    return MatClassifier(lex)

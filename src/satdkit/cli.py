@@ -30,12 +30,10 @@ from .harness import (
     load_config_collection,
     render_report,
     report_from_dict,
+    vocabulary_candidates,
 )
 from .vocab import (
-    apply_denylist,
     augment_vocabulary,
-    char_base_vocabulary,
-    discover_candidate_tokens,
     load_base_vocabulary,
     save_vocabulary,
     write_candidate_report,
@@ -128,22 +126,14 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_vocab_build(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     collection = load_config_collection(config)
-    base = (
-        load_base_vocabulary(config.vocab_base)
-        if config.vocab_base
-        else char_base_vocabulary()
-    )
-    candidates = discover_candidate_tokens(collection, base, threshold=config.vocab_threshold)
-    n_before = len(candidates)
-    if config.vocab_denylist:
-        candidates = apply_denylist(candidates, config.vocab_denylist)
+    base, candidates, n_denied = vocabulary_candidates(config, collection)
     vocab = augment_vocabulary(base, candidates)
     save_vocabulary(vocab, args.out)
     if args.candidates_csv:
         write_candidate_report(candidates, args.candidates_csv)
     print(
         f"base {base.size} tokens + {len(candidates)} discovered "
-        f"({n_before - len(candidates)} denylisted) -> {vocab.size} tokens at {args.out}"
+        f"({n_denied} denylisted) -> {vocab.size} tokens at {args.out}"
     )
     return 0
 

@@ -42,10 +42,6 @@ class Label(Enum):
     def to_int(self) -> int:
         return self.value
 
-    @classmethod
-    def from_int(cls, value: int) -> "Label":
-        return cls(value)
-
 
 @dataclass(frozen=True)
 class Comment:

@@ -8,9 +8,7 @@ metrics are pure and deterministic; nothing here rounds until rendering.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 from .augment import seeded_rng
@@ -133,18 +131,3 @@ def compute_metrics(predictions: Sequence[Label], truth: Sequence[Label]) -> Met
 def fold_plan_to_dict(plan: FoldPlan) -> dict:
     return {"k": plan.k, "seed": plan.seed, "folds": [list(f) for f in plan.folds]}
 
-
-def fold_plan_from_dict(payload: dict) -> FoldPlan:
-    return FoldPlan(
-        k=int(payload["k"]),
-        seed=int(payload["seed"]),
-        folds=tuple(tuple(int(i) for i in fold) for fold in payload["folds"]),
-    )
-
-
-def save_fold_plan(plan: FoldPlan, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(fold_plan_to_dict(plan), indent=2) + "\n", encoding="utf-8")
-
-
-def load_fold_plan(path: str | Path) -> FoldPlan:
-    return fold_plan_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))

@@ -29,6 +29,8 @@ import hashlib
 import json
 import logging
 import os
+import re
+import secrets
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -67,6 +69,7 @@ from .evalkit import (
 from .lexicon import FUZZY, STRICT, TriggerLexicon, dup_lexicon, load_lexicon, mat_lexicon
 from .preprocess import split_identifiers
 from .vocab import (
+    CandidateToken,
     Vocabulary,
     apply_denylist,
     augment_vocabulary,
@@ -130,14 +133,10 @@ class ExperimentConfig:
         _require_choice("dup_scope", self.dup_scope, DUP_SCOPES)
         if self.k < 2:
             raise ConfigError(f"k must be >= 2, got {self.k}")
-        if self.batch_size < 2:
-            raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
-        if not 0.0 <= self.trigger_prob <= 1.0:
-            raise ConfigError(f"trigger_prob must be in [0, 1], got {self.trigger_prob}")
-        if self.target_ratio < 1.0:
-            raise ConfigError(f"target_ratio must be >= 1, got {self.target_ratio}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        try:
+            _sampler_config(self, self.seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.learning_rate < 0:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.l2 < 0:
@@ -175,7 +174,7 @@ def _require_choice(name: str, value: str, choices: tuple[str, ...]) -> None:
         raise ConfigError(f"{name} must be one of {'|'.join(choices)}, got {value!r}")
 
 
-def _parse_bool_none(raw: str) -> str | None:
+def _parse_optional(raw: str) -> str | None:
     return None if raw.lower() in ("", "none") else raw
 
 
@@ -185,47 +184,29 @@ def _parse_projects(raw: str) -> tuple[str, ...] | None:
     return tuple(p.strip() for p in raw.split(",") if p.strip())
 
 
-_FIELD_PARSERS: dict[str, Callable[[str], object]] = {
-    "manifest": _parse_bool_none,
-    "scenario": str,
-    "collection_name": _parse_bool_none,
-    "projects": _parse_projects,
-    "augmentation": str,
-    "classifier": str,
-    "k": int,
-    "seed": int,
-    "batch_size": int,
-    "trigger_prob": float,
-    "target_ratio": float,
-    "epochs": int,
-    "learning_rate": float,
-    "l2": float,
-    "threshold": float,
-    "max_seq_len": int,
-    "dup_scope": str,
-    "vocab_scope": str,
-    "vocab_threshold": float,
-    "vocab_base": _parse_bool_none,
-    "vocab_denylist": _parse_bool_none,
-    "mat_lexicon": _parse_bool_none,
-    "dup_lexicon": _parse_bool_none,
-    "label_mapping": _parse_bool_none,
-    "outdir": str,
-    "export_path": _parse_bool_none,
-    "predictions_path": _parse_bool_none,
+# Field annotations are strings under ``from __future__ import annotations``.
+_TYPE_PARSERS: dict[str, Callable[[str], object]] = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "str | None": _parse_optional,
+    "tuple[str, ...] | None": _parse_projects,
 }
+
+_FIELD_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 CONFIG_KEYS = tuple(_FIELD_PARSERS)
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Read a flat ``key = value`` config file (# comments allowed)."""
+    """Read a flat ``key = value`` config file; a ``#`` at the start of a
+    line or after whitespace begins a comment."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     raw: dict[str, str] = {}
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
@@ -433,10 +414,17 @@ def render_report(report: EvalReport, fmt: str, path: str | Path) -> Path:
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    # A fresh, exclusively created temp name per write, so runs with the same
+    # digest never share one; unlike mkstemp's 0600 files it honors the umask.
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        with tmp.open("x", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +576,22 @@ def training_stream(
     return fmr_batches(augmented, pool, sampler), augmented
 
 
+def vocabulary_candidates(
+    config: ExperimentConfig, collection: CorpusCollection
+) -> tuple[Vocabulary, list[CandidateToken], int]:
+    """The configured base vocabulary, the tokens discovered in
+    ``collection`` that survive the denylist, and how many it dropped."""
+    if config.vocab_base:
+        base = load_base_vocabulary(config.vocab_base)
+    else:
+        base = char_base_vocabulary()
+    candidates = discover_candidate_tokens(collection, base, threshold=config.vocab_threshold)
+    n_found = len(candidates)
+    if config.vocab_denylist:
+        candidates = apply_denylist(candidates, config.vocab_denylist)
+    return base, candidates, n_found - len(candidates)
+
+
 def build_vocabulary(
     config: ExperimentConfig,
     collection: CorpusCollection,
@@ -599,26 +603,18 @@ def build_vocabulary(
     only (leak-free); vocab_scope=all uses the whole collection, i.e. one
     universal tokenizer shared by every unit, including its test data.
     """
-    if config.vocab_base:
-        base = load_base_vocabulary(config.vocab_base)
-    else:
-        base = char_base_vocabulary()
-    if config.vocab_scope == "all" or train is None:
-        discovery = collection
-    else:
+    if config.vocab_scope == "train" and train is not None:
         by_project: dict[str, list[Comment]] = {}
         for c in train:
             by_project.setdefault(c.project, []).append(c)
-        discovery = CorpusCollection(
+        collection = CorpusCollection(
             name="train-scope",
             projects=tuple(
                 ProjectDataset.from_comments(name, comments)
                 for name, comments in by_project.items()
             ),
         )
-    candidates = discover_candidate_tokens(discovery, base, threshold=config.vocab_threshold)
-    if config.vocab_denylist:
-        candidates = apply_denylist(candidates, config.vocab_denylist)
+    base, candidates, _ = vocabulary_candidates(config, collection)
     return augment_vocabulary(base, candidates)
 
 
@@ -691,17 +687,21 @@ def _aggregate_project(
 
 
 def run_experiment(
-    config: ExperimentConfig, collection: CorpusCollection | None = None
+    config: ExperimentConfig,
+    collection: CorpusCollection | None = None,
+    specs: list[UnitSpec] | None = None,
 ) -> EvalReport:
     """Run the configured scenario over every unit and assemble the report.
 
-    A unit that fails is recorded with an error marker and excluded from the
+    ``specs`` defaults to ``build_unit_specs(config, collection)``. A unit
+    that fails is recorded with an error marker and excluded from the
     aggregates; the rest of the grid still runs.
     """
     config.validate()
     if collection is None:
         collection = load_config_collection(config)
-    specs, _ = build_unit_specs(config, collection)
+    if specs is None:
+        specs, _ = build_unit_specs(config, collection)
     predictions = None
     if config.classifier == "external":
         expected = [(c.project, c.id) for spec in specs for c in spec.test]
@@ -736,22 +736,6 @@ def run_experiment(
         average_recall=_mean([p.recall for p in scored]),
         average_f1=_mean([p.f1 for p in scored]),
     )
-
-
-def run_intra(
-    config: ExperimentConfig, collection: CorpusCollection | None = None
-) -> EvalReport:
-    if config.scenario != "intra":
-        raise ConfigError(f"run_intra requires scenario=intra, got {config.scenario!r}")
-    return run_experiment(config, collection)
-
-
-def run_cross(
-    config: ExperimentConfig, collection: CorpusCollection | None = None
-) -> EvalReport:
-    if config.scenario != "cross":
-        raise ConfigError(f"run_cross requires scenario=cross, got {config.scenario!r}")
-    return run_experiment(config, collection)
 
 
 # ---------------------------------------------------------------------------
@@ -837,8 +821,13 @@ def import_predictions(
                 raise DataError(
                     f"{path}: line {lineno}: expected keys project, id, score"
                 )
+            comment_id = record["id"]
+            if isinstance(comment_id, bool) or not isinstance(comment_id, int):
+                raise DataError(
+                    f"{path}: line {lineno}: id must be an integer, got {comment_id!r}"
+                )
+            key = (str(record["project"]), comment_id)
             try:
-                key = (str(record["project"]), int(record["id"]))
                 score = float(record["score"])
             except (TypeError, ValueError) as exc:
                 raise DataError(f"{path}: line {lineno}: {exc}") from None
@@ -884,8 +873,8 @@ def execute_run(config: ExperimentConfig) -> Path:
     try:
         log.info("run starting: digest=%s scenario=%s", config.digest(), config.scenario)
         collection = load_config_collection(config)
-        report = run_experiment(config, collection)
-        _, folds_payload = build_unit_specs(config, collection)
+        specs, folds_payload = build_unit_specs(config, collection)
+        report = run_experiment(config, collection, specs)
         _atomic_write(run_dir / "report.json", report_to_json(report))
         _atomic_write(run_dir / "report.csv", render_csv(report))
         _atomic_write(run_dir / "report.md", render_markdown(report))

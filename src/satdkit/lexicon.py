@@ -12,7 +12,6 @@ import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .corpus import Comment, Label
 from .errors import DataError
 
 STRICT = "strict"
@@ -154,7 +153,3 @@ def is_marker_only(text: str) -> bool:
     words = text.split()
     return not words or all(w in _COMMENT_MARKERS for w in words)
 
-
-def mat_classify(lex: TriggerLexicon, comment: Comment) -> Label:
-    """Training-free keyword labeling: SATD iff any trigger matches."""
-    return Label.SATD if find_triggers(lex, comment.text) else Label.NON_SATD

@@ -83,10 +83,6 @@ class Vocabulary:
         return self.index[self.specials.unk]
 
     @property
-    def pad_id(self) -> int:
-        return self.index[self.specials.pad]
-
-    @property
     def cls_id(self) -> int:
         return self.index[self.specials.cls]
 
@@ -118,7 +114,6 @@ class TokenSequence:
 
     ids: tuple[int, ...]
     truncated: bool
-    source_id: int | None = None
 
 
 def load_base_vocabulary(path: str | Path, specials: Specials = DEFAULT_SPECIALS) -> Vocabulary:
@@ -249,7 +244,6 @@ def tokenize(
     vocab: Vocabulary,
     text: PreprocessedText,
     max_seq_len: int = 128,
-    source_id: int | None = None,
 ) -> TokenSequence:
     """Tokenize an identifier-split comment into a capped id sequence.
 
@@ -269,7 +263,7 @@ def tokenize(
     if truncated:
         piece_ids = piece_ids[: max_seq_len - 2]
     ids = (vocab.cls_id, *piece_ids, vocab.sep_id)
-    return TokenSequence(ids=ids, truncated=truncated, source_id=source_id)
+    return TokenSequence(ids=ids, truncated=truncated)
 
 
 def unk_count(vocab: Vocabulary, seq: TokenSequence) -> int:

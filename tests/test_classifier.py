@@ -10,15 +10,12 @@ from satdkit.classifier import (
     LinearHyper,
     LinearModelState,
     MatClassifier,
-    load_linear_state,
-    mat_as_classifier,
     predict_linear,
     presence_features,
-    save_linear_state,
     train_linear,
 )
 from satdkit.corpus import Label
-from satdkit.errors import DataError, RunError
+from satdkit.errors import RunError
 from satdkit.lexicon import FUZZY, STRICT, TriggerLexicon, mat_lexicon
 from satdkit.preprocess import split_identifiers
 from satdkit.vocab import Vocabulary
@@ -167,20 +164,6 @@ def test_presence_features_exclude_specials_and_dedupe():
     assert feats == (VOCAB.index["f0"], VOCAB.index["f3"])
 
 
-def test_state_serialization_round_trip(tmp_path):
-    rng = random.Random(13)
-    state = train_linear([_random_batch(rng, 8, 0)], VOCAB, LinearHyper())
-    path = tmp_path / "model.json"
-    save_linear_state(state, path)
-    loaded = load_linear_state(path)
-    assert np.array_equal(loaded.weights, state.weights)
-    assert loaded.bias == state.bias
-    assert loaded.hyper == state.hyper
-    path.write_text('{"format": "other@9"}', encoding="utf-8")
-    with pytest.raises(DataError, match="format"):
-        load_linear_state(path)
-
-
 def test_linear_classifier_contract():
     clf = LinearClassifier()
     with pytest.raises(RunError, match="before fit"):
@@ -196,7 +179,7 @@ def test_linear_classifier_contract():
 
 
 def test_mat_classifier_scores():
-    clf = mat_as_classifier(mat_lexicon())
+    clf = MatClassifier(mat_lexicon())
     assert clf.score(split_identifiers("//TODO: nothing appears to read this")) == 1.0
     assert clf.score(split_identifiers("// a perfectly fine comment")) == 0.0
     assert clf.classify(split_identifiers("// TODO x")) is Label.SATD

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -9,11 +10,8 @@ from satdkit.errors import DataError
 from satdkit.evalkit import (
     MetricResult,
     compute_metrics,
-    fold_plan_from_dict,
     fold_plan_to_dict,
-    load_fold_plan,
     mto_splits,
-    save_fold_plan,
     stratified_kfold,
 )
 
@@ -174,12 +172,8 @@ def test_metrics_match_brute_force_recount():
             assert m.f1 == 0.0
 
 
-def test_fold_plan_serialization(tmp_path):
+def test_fold_plan_serialization():
     plan = stratified_kfold(_dataset(30, 3), k=3, seed=5)
     payload = fold_plan_to_dict(plan)
-    assert payload["k"] == 3
-    assert payload["seed"] == 5
-    assert fold_plan_from_dict(payload) == plan
-    path = tmp_path / "plan.json"
-    save_fold_plan(plan, path)
-    assert load_fold_plan(path) == plan
+    assert payload == {"k": 3, "seed": 5, "folds": [list(f) for f in plan.folds]}
+    assert json.loads(json.dumps(payload)) == payload

@@ -30,9 +30,7 @@ from satdkit.harness import (
     report_from_dict,
     report_to_dict,
     report_to_json,
-    run_cross,
     run_experiment,
-    run_intra,
     training_stream,
 )
 from satdkit.preprocess import split_identifiers
@@ -57,13 +55,15 @@ def _write_pair_corpus(root, n_a=120, n_b=60, seed_a=1, seed_b=2):
 def test_config_file_and_overrides(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(
-        "# experiment\nmanifest = corpus/manifest.tsv\nscenario = cross\nseed = 9\n",
+        "# experiment\nmanifest = data/run#3/manifest.tsv\nscenario = cross\n"
+        "seed = 4  # note\nk = 9\n",
         encoding="utf-8",
     )
-    config = build_config(cfg_file, overrides={"seed": "11", "epochs": "2"})
-    assert config.manifest == "corpus/manifest.tsv"
+    config = build_config(cfg_file, overrides={"k": "11", "epochs": "2"})
+    assert config.manifest == "data/run#3/manifest.tsv"
     assert config.scenario == "cross"
-    assert config.seed == 11
+    assert config.seed == 4
+    assert config.k == 11
     assert config.epochs == 2
 
 
@@ -85,6 +85,10 @@ def test_config_validation():
         build_config(overrides={"manifest": "m", "classifier": "external"})
     with pytest.raises(ConfigError, match="invalid value"):
         build_config(overrides={"manifest": "m", "k": "many"})
+    with pytest.raises(ConfigError, match="batch_size must be >= 2"):
+        build_config(overrides={"manifest": "m", "batch_size": "1"})
+    with pytest.raises(ConfigError, match="target_ratio must be >= 1"):
+        build_config(overrides={"manifest": "m", "target_ratio": "0.5"})
 
 
 def test_config_digest_ignores_outdir():
@@ -160,7 +164,7 @@ def test_run_intra_mat_strict_on_trigger_defined_corpus(tmp_path):
         "manifest": str(manifest), "scenario": "intra", "classifier": "mat_strict",
         "k": "5", "seed": "2",
     })
-    report = run_intra(config)
+    report = run_experiment(config)
     assert report.scenario == "intra"
     assert len(report.projects) == 1
     # labels are defined by trigger presence, so the keyword baseline is exact
@@ -174,21 +178,11 @@ def test_run_cross_linear_pattern_transfers(tmp_path):
         "manifest": str(manifest), "scenario": "cross", "classifier": "linear",
         "seed": "6", "epochs": "15",
     })
-    report = run_cross(config)
+    report = run_experiment(config)
     assert [p.project for p in report.projects] == ["Alpha", "Beta"]
     for project in report.projects:
         assert project.f1 == pytest.approx(1.0)
     assert report.average_f1 == pytest.approx(1.0)
-
-
-def test_run_scenario_mismatch(tmp_path):
-    manifest = _write_pair_corpus(tmp_path)
-    config = build_config(overrides={"manifest": str(manifest), "scenario": "cross"})
-    with pytest.raises(ConfigError, match="intra"):
-        run_intra(config)
-    config = build_config(overrides={"manifest": str(manifest), "scenario": "intra"})
-    with pytest.raises(ConfigError, match="cross"):
-        run_cross(config)
 
 
 def test_degenerate_project_flagged(tmp_path):
@@ -198,7 +192,7 @@ def test_degenerate_project_flagged(tmp_path):
         "manifest": str(manifest), "scenario": "intra", "classifier": "mat_strict",
         "k": "4", "seed": "1",
     })
-    report = run_intra(config)
+    report = run_experiment(config)
     project = report.projects[0]
     assert project.note == "project has no SATD comments"
     assert project.f1 == 0.0
@@ -216,7 +210,7 @@ def test_failed_unit_recorded_not_fatal(tmp_path):
         "manifest": str(manifest), "scenario": "intra", "classifier": "linear",
         "augmentation": "fmr", "k": "4", "seed": "1", "epochs": "1",
     })
-    report = run_intra(config)
+    report = run_experiment(config)
     units = report.projects[0].units
     failed = [u for u in units if u.error]
     succeeded = [u for u in units if u.metrics is not None]
@@ -254,13 +248,31 @@ def test_execute_run_layout(tmp_path):
     assert "outdir" not in payload["config"]
 
 
+def test_atomic_write_uses_unique_temp_files(tmp_path):
+    manifest = write_planted_corpus(tmp_path / "data", n_total=40, n_satd=4, seed=3)
+    config = build_config(overrides={
+        "manifest": str(manifest), "scenario": "intra", "classifier": "mat_strict",
+        "k": "4", "outdir": str(tmp_path / "runs"),
+    })
+    # a leftover at the old fixed temp name must not block the run
+    (tmp_path / "runs" / config.digest() / "report.json.tmp").mkdir(parents=True)
+    run_dir = execute_run(config)
+    assert (run_dir / "report.json").is_file()
+    # a failed replace removes its temp file
+    target = tmp_path / "out" / "report.md"
+    target.mkdir(parents=True)
+    with pytest.raises(OSError):
+        render_report(_report_fixture(), "markdown", target)
+    assert [p.name for p in target.parent.iterdir()] == ["report.md"]
+
+
 def test_projects_filter_limits_run(tmp_path):
     manifest = _write_pair_corpus(tmp_path)
     config = build_config(overrides={
         "manifest": str(manifest), "scenario": "intra", "classifier": "mat_strict",
         "projects": "Beta", "k": "4", "seed": "2",
     })
-    report = run_intra(config)
+    report = run_experiment(config)
     assert [p.project for p in report.projects] == ["Beta"]
 
 
@@ -284,7 +296,7 @@ def test_custom_lexicon_and_mapping_files(tmp_path):
         "mat_lexicon": str(tmp_path / "lexicon.txt"),
         "scenario": "intra", "classifier": "mat_strict", "k": "4", "seed": "2",
     })
-    report = run_intra(config)
+    report = run_experiment(config)
     assert report.projects[0].f1 == pytest.approx(1.0)
 
 
@@ -417,6 +429,18 @@ def test_import_predictions_validation(tmp_path):
     )
     with pytest.raises(DataError, match="duplicate"):
         import_predictions(duplicate)
+
+
+@pytest.mark.parametrize("bad_id", ["1.5", "true", '"1"'])
+def test_import_predictions_rejects_non_integer_ids(tmp_path, bad_id):
+    path = tmp_path / "preds.jsonl"
+    path.write_text(
+        '{"project": "A", "id": 0, "score": 0.25}\n'
+        f'{{"project": "A", "id": {bad_id}, "score": 0.75}}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(DataError, match="line 2: id must be an integer"):
+        import_predictions(path, expected=[("A", 0), ("A", 1)])
 
 
 def test_external_trainer_equivalence(tmp_path):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import make_comment
+from satdkit.classifier import MatClassifier
 from satdkit.corpus import Label
 from satdkit.errors import DataError
 from satdkit.lexicon import (
@@ -13,10 +13,10 @@ from satdkit.lexicon import (
     find_triggers,
     is_marker_only,
     load_lexicon,
-    mat_classify,
     mat_lexicon,
     remove_triggers,
 )
+from satdkit.preprocess import split_identifiers
 
 MAT = mat_lexicon()
 DUP = dup_lexicon()
@@ -124,19 +124,19 @@ def test_strict_subset_of_fuzzy():
 
 
 def test_mat_classify_examples():
-    easy = make_comment(0, "//TODO: I have no idea how to get it...", Label.SATD)
-    hard = make_comment(
-        1, "// sorry - otherwise we will get a ClassCastException", Label.NON_SATD
-    )
-    vague = make_comment(2, "// refactor later", Label.NON_SATD)
-    assert mat_classify(MAT, easy) is Label.SATD
-    assert mat_classify(MAT, hard) is Label.NON_SATD
-    assert mat_classify(MAT, vague) is Label.NON_SATD
+    keyword = MatClassifier(MAT)
+    easy = split_identifiers("//TODO: I have no idea how to get it...")
+    hard = split_identifiers("// sorry - otherwise we will get a ClassCastException")
+    vague = split_identifiers("// refactor later")
+    assert keyword.classify(easy) is Label.SATD
+    assert keyword.classify(hard) is Label.NON_SATD
+    assert keyword.classify(vague) is Label.NON_SATD
 
 
 def test_mat_classify_case_invariant():
+    keyword = MatClassifier(MAT)
     for text in ("// Fixme now", "// FIXME NOW", "// fixme now"):
-        assert mat_classify(MAT, make_comment(0, text, Label.SATD)) is Label.SATD
+        assert keyword.classify(split_identifiers(text)) is Label.SATD
 
 
 def test_lexicon_validation():
