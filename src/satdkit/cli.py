@@ -33,6 +33,8 @@ from .harness import (
     vocabulary_candidates,
 )
 from .vocab import (
+    CONTINUATION_PREFIX,
+    SPECIALS,
     augment_vocabulary,
     load_base_vocabulary,
     save_vocabulary,
@@ -140,12 +142,8 @@ def cmd_vocab_build(args: argparse.Namespace) -> int:
 
 def cmd_vocab_inspect(args: argparse.Namespace) -> int:
     vocab = load_base_vocabulary(args.vocab)
-    n_continuation = sum(
-        1 for t in vocab.tokens if t.startswith(vocab.continuation_prefix)
-    )
-    specials = ", ".join(
-        f"{tok}={vocab.index[tok]}" for tok in vocab.specials.as_tuple()
-    )
+    n_continuation = sum(1 for t in vocab.tokens if t.startswith(CONTINUATION_PREFIX))
+    specials = ", ".join(f"{tok}={vocab.index[tok]}" for tok in SPECIALS)
     print(f"vocabulary: {args.vocab}")
     print(f"size: {vocab.size}")
     print(f"specials: {specials}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -31,6 +32,12 @@ DATASET_G_PROJECTS = (
     "Dubbo", "Gradle", "Groovy", "Hive", "Maven",
     "Poi", "SpringFramework", "Storm", "Tomcat", "Zookeeper",
 )
+
+
+def strip_comment(line: str) -> str:
+    """The line without its comment, trimmed. A ``#`` at the start of the
+    line or after whitespace begins a comment; any other ``#`` is data."""
+    return re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
 
 
 class Label(Enum):
@@ -95,8 +102,8 @@ class LabelMapping:
 def load_label_mapping(path: str | Path) -> LabelMapping:
     """Parse a mapping file of ordered ``pattern -> SATD|NON_SATD`` lines.
 
-    ``#`` starts a comment; the pattern ``*`` sets the default for unmatched
-    non-empty labels.
+    Comments follow :func:`strip_comment`; the pattern ``*`` sets the default
+    for unmatched non-empty labels.
     """
     path = Path(path)
     if not path.exists():
@@ -104,7 +111,7 @@ def load_label_mapping(path: str | Path) -> LabelMapping:
     rules: list[tuple[str, Label]] = []
     default: Label | None = None
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = strip_comment(raw)
         if not line:
             continue
         if "->" not in line:
@@ -181,10 +188,6 @@ class CorpusCollection:
             if p.project == project:
                 return p
         raise KeyError(project)
-
-    def all_comments(self) -> Iterator[Comment]:
-        for p in self.projects:
-            yield from p.comments
 
 
 def load_project(path: str | Path, mapping: LabelMapping, project_name: str) -> ProjectDataset:

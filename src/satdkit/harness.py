@@ -29,7 +29,6 @@ import hashlib
 import json
 import logging
 import os
-import re
 import secrets
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -57,6 +56,7 @@ from .corpus import (
     ProjectDataset,
     load_collection,
     load_label_mapping,
+    strip_comment,
 )
 from .errors import ConfigError, DataError, RunError, SatdkitError
 from .evalkit import (
@@ -199,14 +199,13 @@ CONFIG_KEYS = tuple(_FIELD_PARSERS)
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Read a flat ``key = value`` config file; a ``#`` at the start of a
-    line or after whitespace begins a comment."""
+    """Read a flat ``key = value`` config file; ``#`` comments as in ``strip_comment``."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     raw: dict[str, str] = {}
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        stripped = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
+        stripped = strip_comment(line)
         if not stripped:
             continue
         if "=" not in stripped:

@@ -3,15 +3,18 @@
 A small set of task-annotation keywords ("todo", "fixme", ...) separates the
 "easy" debt admissions from the hard ones. The lexicon powers three things:
 a training-free keyword classifier, the easy/hard corpus split, and trigger
-removal when duplicating minority comments for augmentation.
+removal when duplicating minority comments for augmentation. Matching is
+one regex per lexicon: the alternation of its triggers, longest first.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
+from .corpus import strip_comment
 from .errors import DataError
 
 STRICT = "strict"
@@ -58,13 +61,13 @@ def dup_lexicon(mode: str = STRICT) -> TriggerLexicon:
 
 
 def load_lexicon(path: str | Path, mode: str = STRICT) -> TriggerLexicon:
-    """Read a lexicon file: one trigger per line, ``#`` comments allowed."""
+    """Read a lexicon file: one trigger per line, ``#`` comments as in config files."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"lexicon file not found: {path}")
     triggers = set()
     for raw in path.read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
+        line = strip_comment(raw)
         if line:
             triggers.add(line.lower())
     if not triggers:
@@ -82,10 +85,14 @@ def _lower_keep_length(text: str) -> str:
     return "".join(out)
 
 
-def _word_bounded(text: str, start: int, end: int) -> bool:
-    left_ok = start == 0 or not text[start - 1].isalnum()
-    right_ok = end == len(text) or not text[end].isalnum()
-    return left_ok and right_ok
+@lru_cache(maxsize=32)
+def _trigger_regex(triggers: frozenset[str], mode: str) -> re.Pattern[str]:
+    # Alternatives are tried in order, so the longest trigger wins at a start
+    # position; strict mode rejects a match with an alphanumeric neighbour.
+    alternation = "|".join(map(re.escape, sorted(triggers, key=lambda t: (-len(t), t))))
+    if mode == STRICT:
+        return re.compile(rf"(?<![^\W_])(?:{alternation})(?![^\W_])")
+    return re.compile(alternation)
 
 
 def find_triggers(lex: TriggerLexicon, text: str) -> list[tuple[int, int]]:
@@ -94,27 +101,8 @@ def find_triggers(lex: TriggerLexicon, text: str) -> list[tuple[int, int]]:
     Matching is case-insensitive; at equal start positions the longest
     trigger wins. Strict mode requires whole-word boundaries.
     """
-    low = _lower_keep_length(text)
-    ordered = sorted(lex.triggers, key=lambda t: (-len(t), t))
-    spans: list[tuple[int, int]] = []
-    i = 0
-    n = len(low)
-    while i < n:
-        matched = None
-        for trigger in ordered:
-            end = i + len(trigger)
-            if not low.startswith(trigger, i):
-                continue
-            if lex.mode == STRICT and not _word_bounded(low, i, end):
-                continue
-            matched = (i, end)
-            break
-        if matched is None:
-            i += 1
-        else:
-            spans.append(matched)
-            i = matched[1]
-    return spans
+    pattern = _trigger_regex(lex.triggers, lex.mode)
+    return [m.span() for m in pattern.finditer(_lower_keep_length(text))]
 
 
 def remove_triggers(lex: TriggerLexicon, text: str) -> str:

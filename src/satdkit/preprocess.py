@@ -5,6 +5,9 @@ Comments quoting Java code are split at camel-case boundaries so that
 ``new Char Parser For Java Or Something();``. Splitting only ever inserts
 spaces; every other byte of the input survives unchanged, and case is
 preserved throughout (no lowercasing, stemming, or stop-word removal).
+Word segmentation is one regex built from ``RESERVED_SYMBOLS``: a word is a
+maximal run of reserved symbols, or of other non-space characters at none
+of which a reserved symbol starts.
 """
 
 from __future__ import annotations
@@ -15,6 +18,9 @@ from dataclasses import dataclass
 # Comment punctuation that segments as standalone words so it can be counted
 # and tokenized on its own (comment markers, empty brackets, statement ends).
 RESERVED_SYMBOLS = ("/*", "*/", "//", "[]", "()", ";")
+
+_RESERVED = "|".join(map(re.escape, RESERVED_SYMBOLS))
+_WORD = re.compile(rf"(?:{_RESERVED})+|(?:(?!{_RESERVED})\S)+")
 
 # (a) lower->upper boundary, (b) acronym boundary: last upper of an uppercase
 # run that is followed by upper+lower ("HTTPResponse" -> "HTTP Response").
@@ -45,42 +51,4 @@ def segment_words(text: str) -> list[str]:
     symbol strings becomes its own word ("fix()" -> ["fix", "()"]). Other
     punctuation stays attached to its word, and no empty words are produced.
     """
-    words: list[str] = []
-    for chunk in text.split():
-        words.extend(_split_chunk(chunk))
-    return words
-
-
-def _match_reserved(chunk: str, pos: int) -> str | None:
-    for sym in RESERVED_SYMBOLS:
-        if chunk.startswith(sym, pos):
-            return sym
-    return None
-
-
-def _split_chunk(chunk: str) -> list[str]:
-    words: list[str] = []
-    plain: list[str] = []
-    i = 0
-    n = len(chunk)
-    while i < n:
-        sym = _match_reserved(chunk, i)
-        if sym is None:
-            plain.append(chunk[i])
-            i += 1
-            continue
-        if plain:
-            words.append("".join(plain))
-            plain = []
-        run = [sym]
-        i += len(sym)
-        while True:
-            sym = _match_reserved(chunk, i)
-            if sym is None:
-                break
-            run.append(sym)
-            i += len(sym)
-        words.append("".join(run))
-    if plain:
-        words.append("".join(plain))
-    return words
+    return _WORD.findall(text)

@@ -28,21 +28,9 @@ from .preprocess import PreprocessedText, segment_words, split_identifiers
 CONTINUATION_PREFIX = "##"
 MAX_WORD_CHARS = 100
 
-
-@dataclass(frozen=True)
-class Specials:
-    """The four reserved token strings every vocabulary must contain."""
-
-    unk: str = "[UNK]"
-    pad: str = "[PAD]"
-    cls: str = "[CLS]"
-    sep: str = "[SEP]"
-
-    def as_tuple(self) -> tuple[str, str, str, str]:
-        return (self.unk, self.pad, self.cls, self.sep)
-
-
-DEFAULT_SPECIALS = Specials()
+# The reserved token strings every vocabulary must contain.
+UNK, PAD, CLS, SEP = "[UNK]", "[PAD]", "[CLS]", "[SEP]"
+SPECIALS = (UNK, PAD, CLS, SEP)
 
 
 @dataclass(frozen=True)
@@ -51,28 +39,23 @@ class Vocabulary:
 
     tokens: tuple[str, ...]
     index: dict[str, int]
-    specials: Specials = DEFAULT_SPECIALS
-    continuation_prefix: str = CONTINUATION_PREFIX
 
     @classmethod
-    def from_tokens(
-        cls, tokens: list[str] | tuple[str, ...], specials: Specials = DEFAULT_SPECIALS
-    ) -> "Vocabulary":
+    def from_tokens(cls, tokens: list[str] | tuple[str, ...]) -> "Vocabulary":
         tokens = tuple(tokens)
         index: dict[str, int] = {}
-        special_set = set(specials.as_tuple())
         for i, token in enumerate(tokens):
             if token == "":
                 raise DataError(f"empty token at id {i}")
             if token in index:
                 raise DataError(f"duplicate token {token!r} (ids {index[token]} and {i})")
-            if token not in special_set and any(ch.isspace() for ch in token):
+            if token not in SPECIALS and any(ch.isspace() for ch in token):
                 raise DataError(f"token {token!r} contains whitespace")
             index[token] = i
-        missing = [s for s in specials.as_tuple() if s not in index]
+        missing = [s for s in SPECIALS if s not in index]
         if missing:
             raise DataError(f"vocabulary is missing special tokens: {missing}")
-        return cls(tokens=tokens, index=index, specials=specials)
+        return cls(tokens=tokens, index=index)
 
     @property
     def size(self) -> int:
@@ -80,23 +63,23 @@ class Vocabulary:
 
     @property
     def unk_id(self) -> int:
-        return self.index[self.specials.unk]
+        return self.index[UNK]
 
     @property
     def cls_id(self) -> int:
-        return self.index[self.specials.cls]
+        return self.index[CLS]
 
     @property
     def sep_id(self) -> int:
-        return self.index[self.specials.sep]
+        return self.index[SEP]
 
     @property
     def special_ids(self) -> frozenset[int]:
-        return frozenset(self.index[s] for s in self.specials.as_tuple())
+        return frozenset(self.index[s] for s in SPECIALS)
 
     def is_whole_word(self, word: str) -> bool:
         """True when the word itself is an initial-position token."""
-        return word in self.index and not word.startswith(self.continuation_prefix)
+        return word in self.index and not word.startswith(CONTINUATION_PREFIX)
 
 
 @dataclass(frozen=True)
@@ -116,7 +99,7 @@ class TokenSequence:
     truncated: bool
 
 
-def load_base_vocabulary(path: str | Path, specials: Specials = DEFAULT_SPECIALS) -> Vocabulary:
+def load_base_vocabulary(path: str | Path) -> Vocabulary:
     """Read a one-token-per-line vocabulary file; line number = token id."""
     path = Path(path)
     if not path.exists():
@@ -126,7 +109,7 @@ def load_base_vocabulary(path: str | Path, specials: Specials = DEFAULT_SPECIALS
     if tokens and tokens[-1] == "":
         tokens.pop()
     try:
-        return Vocabulary.from_tokens(tokens, specials=specials)
+        return Vocabulary.from_tokens(tokens)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -145,7 +128,7 @@ def char_base_vocabulary(alphabet: str | None = None) -> Vocabulary:
     if alphabet is None:
         alphabet = "".join(chr(c) for c in range(33, 127))
     chars = sorted(set(ch for ch in alphabet if not ch.isspace()))
-    tokens = list(DEFAULT_SPECIALS.as_tuple())
+    tokens = list(SPECIALS)
     tokens.extend(chars)
     tokens.extend(CONTINUATION_PREFIX + ch for ch in chars)
     return Vocabulary.from_tokens(tokens)
@@ -200,9 +183,7 @@ def augment_vocabulary(base: Vocabulary, finals: list[CandidateToken]) -> Vocabu
     for c in finals:
         if c.token in base.index:
             raise DataError(f"candidate token {c.token!r} collides with an existing token")
-    return Vocabulary.from_tokens(
-        base.tokens + tuple(c.token for c in finals), specials=base.specials
-    )
+    return Vocabulary.from_tokens(base.tokens + tuple(c.token for c in finals))
 
 
 def write_candidate_report(candidates: list[CandidateToken], path: str | Path) -> None:
@@ -227,7 +208,7 @@ def _word_piece_ids(vocab: Vocabulary, word: str) -> list[int] | None:
         while end > start:
             piece = word[start:end]
             if start > 0:
-                piece = vocab.continuation_prefix + piece
+                piece = CONTINUATION_PREFIX + piece
             piece_id = vocab.index.get(piece)
             if piece_id is not None:
                 match_id = piece_id
@@ -265,6 +246,3 @@ def tokenize(
     ids = (vocab.cls_id, *piece_ids, vocab.sep_id)
     return TokenSequence(ids=ids, truncated=truncated)
 
-
-def unk_count(vocab: Vocabulary, seq: TokenSequence) -> int:
-    return sum(1 for i in seq.ids if i == vocab.unk_id)

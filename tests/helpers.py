@@ -96,9 +96,9 @@ FULL_CHARS = COVERED_CHARS + EXTRA_CHARS
 
 
 def coverage_base_vocab():
-    from satdkit.vocab import CONTINUATION_PREFIX, DEFAULT_SPECIALS, Vocabulary
+    from satdkit.vocab import CONTINUATION_PREFIX, SPECIALS, Vocabulary
 
-    tokens = list(DEFAULT_SPECIALS.as_tuple())
+    tokens = list(SPECIALS)
     tokens.extend(COVERED_CHARS)
     tokens.extend(CONTINUATION_PREFIX + c for c in COVERED_CHARS)
     return Vocabulary.from_tokens(tokens)

@@ -55,7 +55,6 @@ from satdkit.vocab import (
     discover_candidate_tokens,
     load_base_vocabulary,
     tokenize,
-    unk_count,
 )
 
 import numpy as np
@@ -247,7 +246,7 @@ def test_criterion_07_tokenizer_properties():
         collection = coverage_collection(seed=70)
         grown = augment_vocabulary(base, discover_candidate_tokens(collection, base))
         words = set()
-        for comment in collection.all_comments():
+        for comment in (c for ds in collection for c in ds.comments):
             words.update(comment.text.split())
         for vocab in (base, grown):
             for word in words:
@@ -265,8 +264,8 @@ def test_criterion_07_tokenizer_properties():
         improved = 0
         for _ in range(10_000):
             text = split_identifiers(coverage_random_comment(rng))
-            before = unk_count(base, tokenize(base, text))
-            after = unk_count(grown, tokenize(grown, text))
+            before = tokenize(base, text).ids.count(base.unk_id)
+            after = tokenize(grown, text).ids.count(grown.unk_id)
             assert after <= before
             improved += after < before
         assert improved > 0

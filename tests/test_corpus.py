@@ -235,6 +235,20 @@ def test_load_label_mapping_file(tmp_path):
     assert mapping.map("DEFECT") is Label.SATD
 
 
+def test_load_label_mapping_hash_inside_pattern(tmp_path):
+    path = tmp_path / "mapping.txt"
+    path.write_text(
+        "C#_DEBT -> SATD  # a '#' inside a word is data\n#DEBT -> SATD\n"
+        "WITHOUT_CLASSIFICATION -> NON_SATD # trailing note\n",
+        encoding="utf-8",
+    )
+    mapping = load_label_mapping(path)
+    assert mapping.rules == (
+        ("C#_DEBT", Label.SATD),
+        ("WITHOUT_CLASSIFICATION", Label.NON_SATD),
+    )
+
+
 def test_load_label_mapping_bad_target(tmp_path):
     path = tmp_path / "mapping.txt"
     path.write_text("FOO -> MAYBE\n", encoding="utf-8")

@@ -9,6 +9,7 @@ from satdkit.lexicon import (
     FUZZY,
     STRICT,
     TriggerLexicon,
+    _lower_keep_length,
     dup_lexicon,
     find_triggers,
     is_marker_only,
@@ -168,9 +169,69 @@ def test_load_lexicon(tmp_path):
         load_lexicon(empty)
 
 
+def test_load_lexicon_hash_inside_trigger(tmp_path):
+    path = tmp_path / "lex.txt"
+    path.write_text("fix#me\nhack  # inline\n#todo\nxxx\t# tab note\n", encoding="utf-8")
+    lex = load_lexicon(path)
+    assert lex.triggers == frozenset({"fix#me", "hack", "xxx"})
+
+
 def test_is_marker_only():
     assert is_marker_only("")
     assert is_marker_only("   ")
     assert is_marker_only("//")
     assert is_marker_only("/* */")
     assert not is_marker_only("// words")
+
+
+# Reference oracle: the per-position scanner that find_triggers replaced.
+def _reference_find_triggers(lex, text):
+    low = _lower_keep_length(text)
+    ordered = sorted(lex.triggers, key=lambda t: (-len(t), t))
+    spans = []
+    i = 0
+    n = len(low)
+    while i < n:
+        matched = None
+        for trigger in ordered:
+            end = i + len(trigger)
+            if not low.startswith(trigger, i):
+                continue
+            if lex.mode == STRICT and not _word_bounded(low, i, end):
+                continue
+            matched = (i, end)
+            break
+        if matched is None:
+            i += 1
+        else:
+            spans.append(matched)
+            i = matched[1]
+    return spans
+
+
+def _word_bounded(text, start, end):
+    left_ok = start == 0 or not text[start - 1].isalnum()
+    right_ok = end == len(text) or not text[end].isalnum()
+    return left_ok and right_ok
+
+
+# Triggers that are prefixes, suffixes or case variants of each other, and
+# text characters whose lowercase form changes length (U+0130) or maps onto
+# ASCII (long s, Kelvin sign), combining marks, "_" and non-ASCII digits.
+_TRIGGER_POOL = ["to", "tod", "todo", "do", "fix", "fixme", "me", "k", "s", "ss",
+                 "i", "i\u0307", "\u017f", "a_b", "#me", "x1", "\xe9"]
+_TEXT_PIECES = (
+    _TRIGGER_POOL
+    + ["TODO", "FiXmE", "\u0130", "\u212a", "\xdf", "\u0301", "\u0307", "\u0663"]
+    + [" ", "_", ":", "-", "\xa0", "\n", "#", "1", "z", "Z", "\u4e2d"]
+)
+
+
+def test_find_triggers_matches_reference_scanner():
+    rng = random.Random(505)
+    for _ in range(2_000):
+        triggers = frozenset(rng.sample(_TRIGGER_POOL, rng.randint(1, 5)))
+        lex = TriggerLexicon(triggers, rng.choice((STRICT, FUZZY)))
+        for _ in range(10):
+            text = "".join(rng.choice(_TEXT_PIECES) for _ in range(rng.randint(0, 12)))
+            assert find_triggers(lex, text) == _reference_find_triggers(lex, text), (lex, text)

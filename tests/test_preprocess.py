@@ -1,6 +1,6 @@
 import random
 
-from satdkit.preprocess import segment_words, split_identifiers
+from satdkit.preprocess import RESERVED_SYMBOLS, segment_words, split_identifiers
 
 _ALPHABET = (
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
@@ -76,3 +76,63 @@ def test_segment_never_yields_empty_words():
         words = segment_words(split_identifiers(s).text)
         assert all(words)
         assert all(not any(ch.isspace() for ch in w) for w in words)
+
+
+# Reference oracle: the per-character scanner that segment_words replaced.
+def _reference_segment(text):
+    words = []
+    for chunk in text.split():
+        words.extend(_reference_split_chunk(chunk))
+    return words
+
+
+def _match_reserved(chunk, pos):
+    for sym in RESERVED_SYMBOLS:
+        if chunk.startswith(sym, pos):
+            return sym
+    return None
+
+
+def _reference_split_chunk(chunk):
+    words = []
+    plain = []
+    i = 0
+    n = len(chunk)
+    while i < n:
+        sym = _match_reserved(chunk, i)
+        if sym is None:
+            plain.append(chunk[i])
+            i += 1
+            continue
+        if plain:
+            words.append("".join(plain))
+            plain = []
+        run = [sym]
+        i += len(sym)
+        while True:
+            sym = _match_reserved(chunk, i)
+            if sym is None:
+                break
+            run.append(sym)
+            i += len(sym)
+        words.append("".join(run))
+    if plain:
+        words.append("".join(plain))
+    return words
+
+
+# Heavy in reserved symbols and their fragments, Unicode whitespace (and
+# zero-width characters that are not whitespace), "_" and case oddities.
+_SEGMENT_PIECES = (
+    list(RESERVED_SYMBOLS) + list("/*[]();")
+    + [" ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0",
+       "\u1680", "\u2003", "\u2028", "\u3000", "\u200b", "\ufeff"]
+    + list("abXY_9.#") + ["\u0130", "\u017f", "\u212a", "\u0301", "\xdf"]
+)
+
+
+def test_segment_words_matches_reference_scanner():
+    rng = random.Random(404)
+    for _ in range(20_000):
+        text = "".join(rng.choice(_SEGMENT_PIECES) for _ in range(rng.randint(0, 24)))
+        assert segment_words(text) == _reference_segment(text), repr(text)

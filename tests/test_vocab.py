@@ -21,7 +21,6 @@ from satdkit.vocab import (
     load_base_vocabulary,
     save_vocabulary,
     tokenize,
-    unk_count,
     write_candidate_report,
 )
 
@@ -181,7 +180,7 @@ def test_tokenize_long_word_is_unk():
     vocab = char_base_vocabulary("x")
     seq = tokenize(vocab, split_identifiers("x" * 200))
     assert [i for i in seq.ids] == [vocab.cls_id, vocab.unk_id, vocab.sep_id]
-    assert unk_count(vocab, tokenize(vocab, split_identifiers("x" * 100))) == 0
+    assert tokenize(vocab, split_identifiers("x" * 100)).ids.count(vocab.unk_id) == 0
 
 
 def test_tokenize_dead_end_is_whole_word_unk():
@@ -215,7 +214,7 @@ def test_detokenization_round_trip():
     collection = coverage_collection(seed=6)
     grown = augment_vocabulary(base, discover_candidate_tokens(collection, base))
     words = set()
-    for comment in collection.all_comments():
+    for comment in (c for ds in collection for c in ds.comments):
         words.update(comment.text.split())
     covered = []
     for vocab in (base, grown):
@@ -244,8 +243,8 @@ def test_augmentation_monotonicity():
     improved = 0
     for _ in range(1000):
         text = split_identifiers(coverage_random_comment(rng))
-        before = unk_count(base, tokenize(base, text))
-        after = unk_count(grown, tokenize(grown, text))
+        before = tokenize(base, text).ids.count(base.unk_id)
+        after = tokenize(grown, text).ids.count(grown.unk_id)
         assert after <= before
         if after < before:
             improved += 1
