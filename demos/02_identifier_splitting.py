@@ -20,16 +20,16 @@ examples = [
 print("identifier splitting:")
 for text in examples:
     print(f"  {text}")
-    print(f"    -> {split_identifiers(text).text}")
+    print(f"    -> {split_identifiers(text)}")
 
 print("\nidempotence: splitting already-split text changes nothing:")
-once = split_identifiers(examples[0]).text
-twice = split_identifiers(once).text
+once = split_identifiers(examples[0])
+twice = split_identifiers(once)
 print(f"  once : {once}")
 print(f"  twice: {twice}")
 assert once == twice
 
 print("\nword segmentation (comment markers and empty brackets become words):")
 for text in ["// TODO fix()", "/* hack */", "and/or fix();", "//TODO: read this"]:
-    words = segment_words(split_identifiers(text).text)
+    words = segment_words(split_identifiers(text))
     print(f"  {text!r:28} -> {words}")

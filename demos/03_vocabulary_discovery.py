@@ -63,6 +63,6 @@ text = split_identifiers("// classpath rarity")
 for v, name in ((base, "base"), (vocab, "augmented")):
     seq = tokenize(v, text)
     pieces = [v.tokens[i] for i in seq.ids]
-    print(f"\n{name} tokenization of {text.text!r}:")
+    print(f"\n{name} tokenization of {text!r}:")
     print(f"  {pieces}")
 print("\n'classpath' is one token after augmentation; 'rarity' still spells out.")

@@ -7,17 +7,23 @@ duplication augmentation (strip the tags, keep the admission).
 """
 
 from satdkit import (
-    MatClassifier,
+    Label,
     TriggerLexicon,
     find_triggers,
     mat_lexicon,
+    mat_score,
     remove_triggers,
-    split_identifiers,
 )
 from satdkit.lexicon import FUZZY, STRICT
 
 lexicon = mat_lexicon()
-keyword_baseline = MatClassifier(lexicon)
+
+
+def keyword_baseline(text):
+    # a run predicts SATD iff score >= threshold (0.5 by default)
+    return Label.SATD if mat_score(lexicon, text) >= 0.5 else Label.NON_SATD
+
+
 print(f"default tag lexicon: {sorted(lexicon.triggers)} (mode={lexicon.mode})\n")
 
 easy = [
@@ -33,12 +39,12 @@ print("easy comments (clear trigger words):")
 for text in easy:
     spans = find_triggers(lexicon, text)
     matched = [text[s:e] for s, e in spans]
-    label = keyword_baseline.classify(split_identifiers(text))
+    label = keyword_baseline(text)
     print(f"  {label.name:8} triggers={matched}  {text[:60]}")
 
 print("\nhard comments (debt admissions without trigger words):")
 for text in hard:
-    label = keyword_baseline.classify(split_identifiers(text))
+    label = keyword_baseline(text)
     print(f"  {label.name:8} triggers=[]  {text[:60]}")
 print("  (the keyword baseline misses these by construction)")
 

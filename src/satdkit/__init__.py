@@ -20,11 +20,9 @@ from .augment import (
     write_batches_jsonl,
 )
 from .classifier import (
-    Classifier,
-    LinearClassifier,
     LinearHyper,
     LinearModelState,
-    MatClassifier,
+    mat_score,
     predict_linear,
     presence_features,
     train_linear,
@@ -71,7 +69,7 @@ from .lexicon import (
     mat_lexicon,
     remove_triggers,
 )
-from .preprocess import PreprocessedText, segment_words, split_identifiers
+from .preprocess import segment_words, split_identifiers
 from .vocab import (
     CandidateToken,
     TokenSequence,
@@ -89,8 +87,8 @@ __all__ = [
     "__version__",
     "Batch", "SamplerConfig", "dup_augment", "fmr_batches", "plain_batches",
     "rebalance_items", "write_batches_jsonl",
-    "Classifier", "LinearClassifier", "LinearHyper", "LinearModelState",
-    "MatClassifier", "predict_linear", "presence_features", "train_linear",
+    "LinearHyper", "LinearModelState", "mat_score", "predict_linear",
+    "presence_features", "train_linear",
     "DATASET_G_PROJECTS", "DATASET_M_PROJECTS", "Comment", "CorpusCollection",
     "Label", "LabelMapping", "ProjectDataset", "corpus_stats",
     "format_stats_table", "load_collection", "load_label_mapping", "load_project",
@@ -102,7 +100,7 @@ __all__ = [
     "run_experiment",
     "TriggerLexicon", "dup_lexicon", "find_triggers", "load_lexicon",
     "mat_lexicon", "remove_triggers",
-    "PreprocessedText", "segment_words", "split_identifiers",
+    "segment_words", "split_identifiers",
     "CandidateToken", "TokenSequence", "Vocabulary", "apply_denylist",
     "augment_vocabulary", "char_base_vocabulary", "discover_candidate_tokens",
     "load_base_vocabulary", "save_vocabulary", "tokenize",

@@ -66,16 +66,16 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class Batch:
-    """One training batch of (comment, label) pairs."""
+    """One training batch of labeled comments."""
 
-    items: tuple[tuple[Comment, Label], ...]
+    items: tuple[Comment, ...]
     adjusted: bool
     epoch: int
     batch_index: int
 
     def label_counts(self) -> tuple[int, int]:
         """(n_satd, n_non_satd) for this batch."""
-        n_satd = sum(1 for _, label in self.items if label is Label.SATD)
+        n_satd = sum(1 for c in self.items if c.label is Label.SATD)
         return n_satd, len(self.items) - n_satd
 
 
@@ -91,16 +91,16 @@ def plain_batches(train: list[Comment], cfg: SamplerConfig) -> Iterator[Batch]:
         order = seeded_rng(cfg.seed, _SHUFFLE_STREAM, epoch).permutation(len(train))
         for batch_index, start in enumerate(range(0, len(train), cfg.batch_size)):
             chunk = order[start : start + cfg.batch_size]
-            items = tuple((train[i], train[i].label) for i in chunk)
+            items = tuple(train[i] for i in chunk)
             yield Batch(items=items, adjusted=False, epoch=epoch, batch_index=batch_index)
 
 
 def rebalance_items(
-    items: tuple[tuple[Comment, Label], ...],
+    items: tuple[Comment, ...],
     satd_pool: list[Comment],
     target_ratio: float,
     rng: np.random.Generator,
-) -> tuple[tuple[Comment, Label], ...]:
+) -> tuple[Comment, ...]:
     """Replace majority items until count(non) <= target_ratio * count(satd).
 
     One replacement at a time: a uniformly chosen majority slot receives a
@@ -108,13 +108,12 @@ def rebalance_items(
     preserved; an already balanced batch comes back unchanged.
     """
     out = list(items)
-    non_positions = [i for i, (_, label) in enumerate(out) if label is not Label.SATD]
+    non_positions = [i for i, c in enumerate(out) if c.label is not Label.SATD]
     n_satd = len(out) - len(non_positions)
     while len(non_positions) > target_ratio * n_satd:
         victim = int(rng.integers(len(non_positions)))
         pos = non_positions.pop(victim)
-        drawn = satd_pool[int(rng.integers(len(satd_pool)))]
-        out[pos] = (drawn, drawn.label)
+        out[pos] = satd_pool[int(rng.integers(len(satd_pool)))]
         n_satd += 1
     return tuple(out)
 
@@ -200,12 +199,12 @@ def batch_record(batch: Batch) -> dict:
         "adjusted": batch.adjusted,
         "items": [
             {
-                "project": comment.project,
-                "id": comment.id,
-                "text": comment.text,
-                "label": label.to_int(),
+                "project": c.project,
+                "id": c.id,
+                "text": c.text,
+                "label": c.label.value,
             }
-            for comment, label in batch.items
+            for c in batch.items
         ],
     }
 

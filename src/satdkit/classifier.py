@@ -1,21 +1,17 @@
-"""Classifier contract and the two built-in models.
+"""The two built-in models, each a function from comment text to a score in
+[0, 1]; the harness predicts SATD iff score >= threshold. An external neural
+trainer replaces them through the batch-export / prediction-import bridge.
 
-The contract is deliberately small so an external neural trainer can slot in
-through the batch-export / prediction-import boundary: fit on a batch
-stream, then produce a score in [0, 1] per comment, with SATD predicted iff
-score >= threshold.
-
-Built-ins:
-
-* a keyword classifier that fires on trigger-lexicon matches (no training),
-* a logistic-regression model over binary token-presence features, trained
-  by mini-batch gradient descent. It is the desk-scale stand-in for a
-  heavyweight encoder and exercises the full sampling pipeline.
+* ``mat_score``: the keyword baseline, 1.0 when a trigger matches the raw
+  comment (no training),
+* ``train_linear`` / ``predict_linear``: a logistic-regression model over
+  binary token-presence features, trained by mini-batch gradient descent.
+  It is the desk-scale stand-in for a heavyweight encoder and exercises the
+  full sampling pipeline.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -26,16 +22,13 @@ from .augment import Batch
 from .corpus import Comment, Label
 from .errors import RunError
 from .lexicon import TriggerLexicon, find_triggers
-from .preprocess import PreprocessedText, split_identifiers
+from .preprocess import split_identifiers
 from .vocab import Vocabulary, tokenize
-
-DEFAULT_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
 class LinearHyper:
     learning_rate: float = 0.1
-    epochs: int = 5
     l2: float = 1e-4
 
 
@@ -45,13 +38,12 @@ class LinearModelState:
 
     weights: np.ndarray
     bias: float
-    hyper: LinearHyper
 
 
 def presence_features(
-    vocab: Vocabulary, text: PreprocessedText, max_seq_len: int = 128
+    vocab: Vocabulary, text: str, max_seq_len: int = 128
 ) -> tuple[int, ...]:
-    """Sorted unique token ids of a comment, special tokens excluded."""
+    """Sorted unique token ids of an identifier-split comment, specials excluded."""
     seq = tokenize(vocab, text, max_seq_len=max_seq_len)
     return tuple(sorted(set(seq.ids) - vocab.special_ids))
 
@@ -89,11 +81,8 @@ def train_linear(
     b = 0.0
     cache: dict[tuple[str, int], tuple[int, ...]] = {}
     for batch in stream:
-        feats = [
-            _features_for_comment(vocab, comment, max_seq_len, cache)
-            for comment, _ in batch.items
-        ]
-        y = np.array([1.0 if label is Label.SATD else 0.0 for _, label in batch.items])
+        feats = [_features_for_comment(vocab, c, max_seq_len, cache) for c in batch.items]
+        y = np.array([1.0 if c.label is Label.SATD else 0.0 for c in batch.items])
         z = np.array([w[list(f)].sum() + b for f in feats])
         p = expit(z)
         # stable BCE: log(1+e^z) - y*z, plus the quadratic penalty; overflow
@@ -112,13 +101,13 @@ def train_linear(
         grad /= len(y)
         w = (1.0 - hyper.learning_rate * hyper.l2) * w - hyper.learning_rate * grad
         b -= hyper.learning_rate * float(g.mean())
-    return LinearModelState(weights=w, bias=b, hyper=hyper)
+    return LinearModelState(weights=w, bias=b)
 
 
 def predict_linear(
     state: LinearModelState,
     vocab: Vocabulary,
-    text: PreprocessedText,
+    text: str,
     max_seq_len: int = 128,
 ) -> float:
     """logistic(w . x + b) with x the binary presence vector."""
@@ -127,58 +116,6 @@ def predict_linear(
     return float(expit(z))
 
 
-class Classifier(ABC):
-    """Train-once, score-many contract shared by all in-process models."""
-
-    threshold: float = DEFAULT_THRESHOLD
-
-    @abstractmethod
-    def fit(self, batches: Iterable[Batch], vocab: Vocabulary | None) -> None:
-        """Consume a batch stream; may be a no-op for training-free models."""
-
-    @abstractmethod
-    def score(self, text: PreprocessedText) -> float:
-        """Deterministic score in [0, 1]; higher means more debt-like."""
-
-    def classify(self, text: PreprocessedText) -> Label:
-        return Label.SATD if self.score(text) >= self.threshold else Label.NON_SATD
-
-
-class LinearClassifier(Classifier):
-    def __init__(
-        self,
-        hyper: LinearHyper = LinearHyper(),
-        max_seq_len: int = 128,
-        threshold: float = DEFAULT_THRESHOLD,
-    ) -> None:
-        self.hyper = hyper
-        self.max_seq_len = max_seq_len
-        self.threshold = threshold
-        self.state: LinearModelState | None = None
-        self._vocab: Vocabulary | None = None
-
-    def fit(self, batches: Iterable[Batch], vocab: Vocabulary | None) -> None:
-        if vocab is None:
-            raise RunError("linear classifier requires a vocabulary")
-        self.state = train_linear(batches, vocab, self.hyper, max_seq_len=self.max_seq_len)
-        self._vocab = vocab
-
-    def score(self, text: PreprocessedText) -> float:
-        if self.state is None or self._vocab is None:
-            raise RunError("linear classifier used before fit()")
-        return predict_linear(self.state, self._vocab, text, max_seq_len=self.max_seq_len)
-
-
-class MatClassifier(Classifier):
-    """Keyword baseline: 1.0 when a trigger matches the raw text, else 0.0."""
-
-    def __init__(self, lexicon: TriggerLexicon, threshold: float = DEFAULT_THRESHOLD) -> None:
-        self.lexicon = lexicon
-        self.threshold = threshold
-
-    def fit(self, batches: Iterable[Batch], vocab: Vocabulary | None) -> None:
-        pass
-
-    def score(self, text: PreprocessedText) -> float:
-        return 1.0 if find_triggers(self.lexicon, text.original) else 0.0
-
+def mat_score(lexicon: TriggerLexicon, text: str) -> float:
+    """Keyword baseline: 1.0 when a trigger matches the raw comment text."""
+    return 1.0 if find_triggers(lexicon, text) else 0.0

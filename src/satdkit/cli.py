@@ -182,8 +182,10 @@ def cmd_import_predictions(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    payload = json.loads(Path(args.report).read_text(encoding="utf-8"))
-    report = report_from_dict(payload)
+    try:
+        report = report_from_dict(json.loads(Path(args.report).read_text(encoding="utf-8")))
+    except (DataError, OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise DataError(f"{args.report}: not a readable report ({exc!r})") from None
     out = render_report(report, args.format, args.out)
     print(f"wrote {out}")
     return 0

@@ -46,9 +46,6 @@ class Label(Enum):
     NON_SATD = 0
     SATD = 1
 
-    def to_int(self) -> int:
-        return self.value
-
 
 @dataclass(frozen=True)
 class Comment:

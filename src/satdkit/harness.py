@@ -42,12 +42,7 @@ from .augment import (
     plain_batches,
     write_batches_jsonl,
 )
-from .classifier import (
-    Classifier,
-    LinearClassifier,
-    LinearHyper,
-    MatClassifier,
-)
+from . import classifier
 from .corpus import (
     Comment,
     CorpusCollection,
@@ -600,7 +595,9 @@ def build_vocabulary(
 
     vocab_scope=train discovers tokens from the given training comments
     only (leak-free); vocab_scope=all uses the whole collection, i.e. one
-    universal tokenizer shared by every unit, including its test data.
+    universal tokenizer shared by every unit, including its test data. A
+    run passes the whole manifest here, so with vocab_scope=all discovery
+    also counts the projects that the ``projects`` key leaves out.
     """
     if config.vocab_scope == "train" and train is not None:
         by_project: dict[str, list[Comment]] = {}
@@ -617,21 +614,6 @@ def build_vocabulary(
     return augment_vocabulary(base, candidates)
 
 
-def _build_classifier(config: ExperimentConfig) -> Classifier:
-    if config.classifier == "linear":
-        hyper = LinearHyper(
-            learning_rate=config.learning_rate, epochs=config.epochs, l2=config.l2
-        )
-        return LinearClassifier(
-            hyper=hyper, max_seq_len=config.max_seq_len, threshold=config.threshold
-        )
-    if config.classifier == "mat_strict":
-        return MatClassifier(_resolve_mat_lexicon(config, STRICT), threshold=config.threshold)
-    if config.classifier == "mat_fuzzy":
-        return MatClassifier(_resolve_mat_lexicon(config, FUZZY), threshold=config.threshold)
-    raise ConfigError(f"no in-process classifier for {config.classifier!r}")
-
-
 def _assert_no_leakage(train: Iterable[Comment], test: Iterable[Comment]) -> None:
     train_keys = {(c.project, c.id) for c in train}
     overlap = [(c.project, c.id) for c in test if (c.project, c.id) in train_keys]
@@ -646,25 +628,26 @@ def _evaluate_unit(
     shared_vocab: Vocabulary | None,
     predictions: dict[tuple[str, int], float] | None,
 ) -> MetricResult:
-    truth = [c.label for c in spec.test]
     if config.classifier == "external":
         assert predictions is not None
-        preds = [
-            Label.SATD
-            if predictions[(c.project, c.id)] >= config.threshold
-            else Label.NON_SATD
-            for c in spec.test
-        ]
-        return compute_metrics(preds, truth)
-    batches, train = training_stream(config, spec)
-    _assert_no_leakage(train, spec.test)
-    model = _build_classifier(config)
-    vocab = None
-    if isinstance(model, LinearClassifier):
-        vocab = shared_vocab or build_vocabulary(config, collection, spec.train)
-    model.fit(batches, vocab)
-    preds = [model.classify(split_identifiers(c.text)) for c in spec.test]
-    return compute_metrics(preds, truth)
+        scores = [predictions[(c.project, c.id)] for c in spec.test]
+    else:
+        batches, train = training_stream(config, spec)
+        _assert_no_leakage(train, spec.test)
+        if config.classifier == "linear":
+            vocab = shared_vocab or build_vocabulary(config, collection, spec.train)
+            hyper = classifier.LinearHyper(learning_rate=config.learning_rate, l2=config.l2)
+            n = config.max_seq_len
+            state = classifier.train_linear(batches, vocab, hyper, n)
+            texts = (split_identifiers(c.text) for c in spec.test)
+            scores = [classifier.predict_linear(state, vocab, t, n) for t in texts]
+        else:
+            # the keyword baseline needs no training: its stream goes unread
+            mode = FUZZY if config.classifier == "mat_fuzzy" else STRICT
+            lex = _resolve_mat_lexicon(config, mode)
+            scores = [classifier.mat_score(lex, c.text) for c in spec.test]
+    preds = [Label.SATD if s >= config.threshold else Label.NON_SATD for s in scores]
+    return compute_metrics(preds, [c.label for c in spec.test])
 
 
 def _mean(values: list[float]) -> float | None:
@@ -825,11 +808,17 @@ def import_predictions(
                 raise DataError(
                     f"{path}: line {lineno}: id must be an integer, got {comment_id!r}"
                 )
-            key = (str(record["project"]), comment_id)
-            try:
-                score = float(record["score"])
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from None
+            project, score = record["project"], record["score"]
+            if not isinstance(project, str):
+                raise DataError(
+                    f"{path}: line {lineno}: project must be a string, got {project!r}"
+                )
+            if isinstance(score, bool) or not isinstance(score, (int, float)):
+                raise DataError(
+                    f"{path}: line {lineno}: score must be a number, got {score!r}"
+                )
+            key = (project, comment_id)
+            score = float(score)
             if not 0.0 <= score <= 1.0:
                 raise DataError(
                     f"{path}: line {lineno}: score {score} outside [0, 1]"

@@ -13,7 +13,6 @@ of which a reserved symbol starts.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 # Comment punctuation that segments as standalone words so it can be counted
 # and tokenized on its own (comment markers, empty brackets, statement ends).
@@ -27,21 +26,13 @@ _WORD = re.compile(rf"(?:{_RESERVED})+|(?:(?!{_RESERVED})\S)+")
 _CAMEL_BOUNDARY = re.compile(r"(?<=[a-z])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
 
 
-@dataclass(frozen=True)
-class PreprocessedText:
-    """A comment after identifier splitting, with its untouched source."""
-
-    text: str
-    original: str
-
-
-def split_identifiers(text: str) -> PreprocessedText:
+def split_identifiers(text: str) -> str:
     """Insert spaces at camel-case boundaries (ASCII letters only).
 
     Idempotent: re-splitting already split text is a no-op. Digits,
     punctuation, and existing whitespace pass through byte-for-byte.
     """
-    return PreprocessedText(text=_CAMEL_BOUNDARY.sub(" ", text), original=text)
+    return _CAMEL_BOUNDARY.sub(" ", text)
 
 
 def segment_words(text: str) -> list[str]:

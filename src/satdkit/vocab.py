@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .corpus import CorpusCollection
 from .errors import DataError
-from .preprocess import PreprocessedText, segment_words, split_identifiers
+from .preprocess import segment_words, split_identifiers
 
 CONTINUATION_PREFIX = "##"
 MAX_WORD_CHARS = 100
@@ -153,7 +153,7 @@ def discover_candidate_tokens(
     for ds in collection.projects:
         words: set[str] = set()
         for comment in ds.comments:
-            words.update(segment_words(split_identifiers(comment.text).text))
+            words.update(segment_words(split_identifiers(comment.text)))
         counts.update(words)
     total = len(collection.projects)
     candidates = [
@@ -223,7 +223,7 @@ def _word_piece_ids(vocab: Vocabulary, word: str) -> list[int] | None:
 
 def tokenize(
     vocab: Vocabulary,
-    text: PreprocessedText,
+    text: str,
     max_seq_len: int = 128,
 ) -> TokenSequence:
     """Tokenize an identifier-split comment into a capped id sequence.
@@ -234,7 +234,7 @@ def tokenize(
     if max_seq_len < 2:
         raise ValueError(f"max_seq_len must be >= 2, got {max_seq_len}")
     piece_ids: list[int] = []
-    for word in segment_words(text.text):
+    for word in segment_words(text):
         pieces = _word_piece_ids(vocab, word)
         if pieces is None:
             piece_ids.append(vocab.unk_id)

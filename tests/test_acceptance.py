@@ -81,15 +81,15 @@ def test_criterion_01_preprocessing_fidelity():
     with criterion("1. preprocessing fidelity"):
         started = time.monotonic()
         out = split_identifiers("new CharParserForJavaOrSomething();")
-        assert out.text == "new Char Parser For Java Or Something();"
+        assert out == "new Char Parser For Java Or Something();"
         rng = random.Random(20240101)
         for _ in range(10_000):
             s = "".join(
                 rng.choice(_RANDOM_ALPHABET) for _ in range(rng.randint(0, 64))
             )
             once = split_identifiers(s)
-            assert once.text.replace(" ", "") == s.replace(" ", "")
-            assert split_identifiers(once.text).text == once.text
+            assert once.replace(" ", "") == s.replace(" ", "")
+            assert split_identifiers(once) == once
         assert time.monotonic() - started < 5.0
 
 
@@ -127,10 +127,10 @@ def test_criterion_03_fmr_arithmetic():
     with criterion("3. FMR arithmetic: all-majority batch of 32 -> 8/24"):
         non = [make_comment(i, f"// plain {i}", Label.NON_SATD) for i in range(32)]
         pool = [make_comment(100 + i, "// todo fix", Label.SATD) for i in range(7)]
-        items = tuple((c, c.label) for c in non)
+        items = tuple(non)
         for key in range(25):
             out = rebalance_items(items, pool, 3.0, seeded_rng(key, 2, 0, 0))
-            n_satd = sum(1 for _, label in out if label is Label.SATD)
+            n_satd = sum(1 for c in out if c.label is Label.SATD)
             assert (n_satd, len(out) - n_satd) == (8, 24)
         # the same bound through the full stream: find plain batches that
         # started all-majority and check their adjusted counterparts
@@ -304,14 +304,11 @@ def test_criterion_09_gradient_check():
         vocab = Vocabulary.from_tokens(
             ["[UNK]", "[PAD]", "[CLS]", "[SEP]"] + feature_tokens
         )
-        hyper = LinearHyper(learning_rate=0.3, epochs=1, l2=1e-3)
+        hyper = LinearHyper(learning_rate=0.3, l2=1e-3)
 
         def loss(w, b, batch):
-            feats = [
-                presence_features(vocab, split_identifiers(c.text))
-                for c, _ in batch.items
-            ]
-            y = np.array([1.0 if l is Label.SATD else 0.0 for _, l in batch.items])
+            feats = [presence_features(vocab, split_identifiers(c.text)) for c in batch.items]
+            y = np.array([1.0 if c.label is Label.SATD else 0.0 for c in batch.items])
             z = np.array([w[list(f)].sum() + b for f in feats])
             return float(
                 np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * hyper.l2 * float(w @ w)
@@ -325,7 +322,7 @@ def test_criterion_09_gradient_check():
                     chosen = [t for t in feature_tokens if rng.random() < 0.5]
                     text = " ".join(chosen) or "unk"
                     label = rng.choice((Label.SATD, Label.NON_SATD))
-                    items.append((make_comment(index * 10 + i, text, label), label))
+                    items.append(make_comment(index * 10 + i, text, label))
                 return Batch(items=tuple(items), adjusted=False, epoch=0, batch_index=index)
 
             b1, b2 = rand_batch(0), rand_batch(1)

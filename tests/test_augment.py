@@ -52,8 +52,8 @@ def test_plain_batches_epochs_differ_and_cover_everything():
     cfg = SamplerConfig(seed=5, batch_size=8, epochs=2)
     train = _train(30, 3)
     batches = list(plain_batches(train, cfg))
-    epoch0 = [c.id for b in batches if b.epoch == 0 for c, _ in b.items]
-    epoch1 = [c.id for b in batches if b.epoch == 1 for c, _ in b.items]
+    epoch0 = [c.id for b in batches if b.epoch == 0 for c in b.items]
+    epoch1 = [c.id for b in batches if b.epoch == 1 for c in b.items]
     assert sorted(epoch0) == sorted(epoch1) == list(range(30))
     assert epoch0 != epoch1  # different shuffle per epoch
 
@@ -71,17 +71,17 @@ def test_plain_batches_empty_train():
 
 
 def test_rebalance_all_majority_batch():
-    items = tuple((c, c.label) for c in _train(32, 0))
+    items = tuple(_train(32, 0))
     pool = [make_comment(100 + i, "// todo", Label.SATD) for i in range(5)]
     out = rebalance_items(items, pool, 3.0, seeded_rng(0, 2, 0, 0))
-    n_satd = sum(1 for _, label in out if label is Label.SATD)
+    n_satd = sum(1 for c in out if c.label is Label.SATD)
     assert (n_satd, len(out) - n_satd) == (8, 24)
     assert len(out) == 32
 
 
 def test_rebalance_already_satisfied_unchanged():
-    items = tuple((c, c.label) for c in _train(32, 10))  # 10 SATD / 22 non, 22 <= 30
-    pool = [c for c, label in items if label is Label.SATD]
+    items = tuple(_train(32, 10))  # 10 SATD / 22 non, 22 <= 30
+    pool = [c for c in items if c.label is Label.SATD]
     assert rebalance_items(items, pool, 3.0, seeded_rng(0, 2, 0, 0)) == items
 
 
@@ -231,8 +231,8 @@ def test_dup_duplicates_contain_no_strict_triggers():
 def test_batch_record_schema():
     batch = Batch(
         items=(
-            (make_comment(3, "// TODO x", Label.SATD, project="A"), Label.SATD),
-            (make_comment(4, "// fine", Label.NON_SATD, project="A"), Label.NON_SATD),
+            make_comment(3, "// TODO x", Label.SATD, project="A"),
+            make_comment(4, "// fine", Label.NON_SATD, project="A"),
         ),
         adjusted=True,
         epoch=2,

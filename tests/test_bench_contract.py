@@ -51,5 +51,6 @@ def test_traced_run_reaches_every_layer(traced, tmp_path, monkeypatch):
     metrics = tracer.layer_metrics(t, run_s=1.0, n_comments=40)
     for name in ("preprocess.split_calls", "preprocess.segment_calls",
                  "vocab.tokenize_calls", "lexicon.find_triggers_calls",
-                 "augment.batches", "augment.duplicates"):
+                 "augment.batches", "augment.duplicates", "classifier.fit_self_s",
+                 "classifier.score_s", "classifier.features_per_item"):
         assert metrics[name] > 0, name

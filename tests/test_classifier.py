@@ -6,10 +6,9 @@ import pytest
 from helpers import make_comment
 from satdkit.augment import Batch, SamplerConfig, plain_batches
 from satdkit.classifier import (
-    LinearClassifier,
     LinearHyper,
     LinearModelState,
-    MatClassifier,
+    mat_score,
     predict_linear,
     presence_features,
     train_linear,
@@ -38,15 +37,13 @@ def _random_batch(rng, size, batch_index=0):
     for i in range(size):
         feature_ids = [j for j in range(5) if rng.random() < 0.5]
         label = rng.choice((Label.SATD, Label.NON_SATD))
-        items.append((_comment_with_features(100 * batch_index + i, feature_ids, label), label))
+        items.append(_comment_with_features(100 * batch_index + i, feature_ids, label))
     return _batch(items, batch_index=batch_index)
 
 
 def _loss(w, b, batch, hyper, vocab=VOCAB):
-    feats = [
-        presence_features(vocab, split_identifiers(c.text)) for c, _ in batch.items
-    ]
-    y = np.array([1.0 if label is Label.SATD else 0.0 for _, label in batch.items])
+    feats = [presence_features(vocab, split_identifiers(c.text)) for c in batch.items]
+    y = np.array([1.0 if c.label is Label.SATD else 0.0 for c in batch.items])
     z = np.array([w[list(f)].sum() + b for f in feats])
     return float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * hyper.l2 * float(w @ w))
 
@@ -55,7 +52,7 @@ def test_gradient_matches_central_differences():
     # train on [b1]; the step from b1-state to [b1, b2]-state must equal a
     # gradient step along numerically differentiated loss on b2
     rng = random.Random(31)
-    hyper = LinearHyper(learning_rate=0.25, epochs=1, l2=1e-3)
+    hyper = LinearHyper(learning_rate=0.25, l2=1e-3)
     for trial in range(5):
         b1 = _random_batch(rng, 8, batch_index=0)
         b2 = _random_batch(rng, 8, batch_index=1)
@@ -134,25 +131,25 @@ def test_non_finite_loss_reports_batch():
 
 
 def test_predict_zero_state():
-    state = LinearModelState(weights=np.zeros(VOCAB.size), bias=0.0, hyper=LinearHyper())
+    state = LinearModelState(weights=np.zeros(VOCAB.size), bias=0.0)
     assert predict_linear(state, VOCAB, split_identifiers("f1 f2")) == 0.5
 
 
 def test_predict_single_positive_weight():
-    state = LinearModelState(weights=np.zeros(VOCAB.size), bias=0.0, hyper=LinearHyper())
+    state = LinearModelState(weights=np.zeros(VOCAB.size), bias=0.0)
     state.weights[VOCAB.index["f0"]] = 4.0
     score = predict_linear(state, VOCAB, split_identifiers("f0"))
     assert score == pytest.approx(0.982, abs=5e-4)
 
 
 def test_all_unk_scores_logistic_bias():
-    state = LinearModelState(weights=np.ones(VOCAB.size), bias=-1.0, hyper=LinearHyper())
+    state = LinearModelState(weights=np.ones(VOCAB.size), bias=-1.0)
     score = predict_linear(state, VOCAB, split_identifiers("zzz qqq www"))
     assert score == pytest.approx(1.0 / (1.0 + np.exp(1.0)))
 
 
 def test_score_monotone_in_positive_weight_token():
-    state = LinearModelState(weights=np.zeros(VOCAB.size), bias=0.3, hyper=LinearHyper())
+    state = LinearModelState(weights=np.zeros(VOCAB.size), bias=0.3)
     state.weights[VOCAB.index["f2"]] = 1.7
     without = predict_linear(state, VOCAB, split_identifiers("f0 f1"))
     with_token = predict_linear(state, VOCAB, split_identifiers("f0 f1 f2"))
@@ -165,37 +162,34 @@ def test_presence_features_exclude_specials_and_dedupe():
 
 
 def test_linear_classifier_contract():
-    clf = LinearClassifier()
-    with pytest.raises(RunError, match="before fit"):
-        clf.score(split_identifiers("f0"))
     toy = [
         make_comment(i, "f0 f1" if i % 2 else "f2 f3",
                      Label.SATD if i % 2 else Label.NON_SATD)
         for i in range(12)
     ]
-    clf.fit(plain_batches(toy, SamplerConfig(seed=1, batch_size=4, epochs=5)), VOCAB)
-    assert clf.classify(split_identifiers("f0 f1")) is Label.SATD
-    assert clf.classify(split_identifiers("f2 f3")) is Label.NON_SATD
+    state = train_linear(plain_batches(toy, SamplerConfig(seed=1, batch_size=4, epochs=5)), VOCAB)
+    assert predict_linear(state, VOCAB, split_identifiers("f0 f1")) >= 0.5
+    assert predict_linear(state, VOCAB, split_identifiers("f2 f3")) < 0.5
 
 
 def test_mat_classifier_scores():
-    clf = MatClassifier(mat_lexicon())
-    assert clf.score(split_identifiers("//TODO: nothing appears to read this")) == 1.0
-    assert clf.score(split_identifiers("// a perfectly fine comment")) == 0.0
-    assert clf.classify(split_identifiers("// TODO x")) is Label.SATD
+    lex = mat_lexicon()
+    assert mat_score(lex, "//TODO: nothing appears to read this") == 1.0
+    assert mat_score(lex, "// a perfectly fine comment") == 0.0
+    assert mat_score(lex, "// TODO x") == 1.0
 
 
 def test_mat_classifier_fuzzy_vs_strict():
-    strict = MatClassifier(TriggerLexicon(frozenset({"todo"}), STRICT))
-    fuzzy = MatClassifier(TriggerLexicon(frozenset({"todo"}), FUZZY))
-    text = split_identifiers("xtodox")
-    assert strict.score(text) == 0.0
-    assert fuzzy.score(text) == 1.0
+    strict = TriggerLexicon(frozenset({"todo"}), STRICT)
+    fuzzy = TriggerLexicon(frozenset({"todo"}), FUZZY)
+    assert mat_score(strict, "xtodox") == 0.0
+    assert mat_score(fuzzy, "xtodox") == 1.0
 
 
 def test_mat_classifier_uses_original_text():
-    # identifier splitting must not manufacture trigger matches
-    strict = MatClassifier(TriggerLexicon(frozenset({"todo"}), STRICT))
-    text = split_identifiers("myTodoList")
-    assert "my Todo List" == text.text
-    assert strict.score(text) == 0.0
+    # identifier splitting would manufacture a trigger match: the baseline
+    # scores the raw comment
+    strict = TriggerLexicon(frozenset({"todo"}), STRICT)
+    assert split_identifiers("myTodoList") == "my Todo List"
+    assert mat_score(strict, "my Todo List") == 1.0
+    assert mat_score(strict, "myTodoList") == 0.0

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from helpers import write_planted_corpus
 from satdkit.cli import main
 
@@ -125,3 +127,21 @@ def test_report_rerender(tmp_path, capsys):
     ])
     assert code == 0
     assert target.read_text(encoding="utf-8") == (run_dir / "report.csv").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("content", [
+    "not json at all",
+    '{"format": "eval-report@1"}',
+    "[1, 2]",
+    None,  # no file
+], ids=["not_json", "no_projects", "not_object", "missing"])
+def test_report_rejects_malformed_report(tmp_path, capsys, content):
+    source = tmp_path / "report.json"
+    if content is not None:
+        source.write_text(content, encoding="utf-8")
+    code = main(["report", "--report", str(source), "--out", str(tmp_path / "out.md")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("data error: ")
+    assert str(source) in err
+    assert not (tmp_path / "out.md").exists()

@@ -172,6 +172,54 @@ def test_run_intra_mat_strict_on_trigger_defined_corpus(tmp_path):
     assert report.average_f1 == pytest.approx(1.0)
 
 
+def _unit_counts(report):
+    """(tp, fn) summed over every unit of every project."""
+    metrics = [u.metrics for p in report.projects for u in p.units]
+    return sum(m.tp for m in metrics), sum(m.fn for m in metrics)
+
+
+def test_external_score_equal_to_threshold_is_satd(tmp_path):
+    manifest = write_planted_corpus(tmp_path / "data", n_total=80, n_satd=8, seed=3)
+    overrides = {
+        "manifest": str(manifest), "scenario": "intra", "k": "4", "seed": "1",
+        "classifier": "external", "threshold": "0.5",
+        "export_path": str(tmp_path / "export"),
+        "predictions_path": str(tmp_path / "preds.jsonl"),
+    }
+    config = build_config(overrides=overrides)
+    with open(config.predictions_path, "w", encoding="utf-8") as fh:
+        for c in load_config_collection(config).get("Planted").comments:
+            score = 0.5 if c.label is Label.SATD else 0.0
+            fh.write(json.dumps({"project": c.project, "id": c.id, "score": score}) + "\n")
+    report = run_experiment(config)
+    assert _unit_counts(report) == (8, 0)
+    assert report.average_f1 == pytest.approx(1.0)
+
+
+def test_mat_hit_at_threshold_one_is_satd(tmp_path):
+    manifest = write_planted_corpus(tmp_path, n_total=80, n_satd=8, seed=3)
+    config = build_config(overrides={
+        "manifest": str(manifest), "scenario": "intra", "classifier": "mat_strict",
+        "k": "4", "seed": "1", "threshold": "1.0",
+    })
+    report = run_experiment(config)
+    assert _unit_counts(report) == (8, 0)
+    assert report.average_f1 == pytest.approx(1.0)
+
+
+def test_mat_strict_scores_raw_comment_text(tmp_path):
+    # identifier splitting would turn myTodoList into "my Todo List", a
+    # strict match; the keyword baseline must see the raw comment instead
+    rows = [("// myTodoList", Label.SATD), ("// TODO fix this", Label.SATD)]
+    rows += [(f"// plain comment {i}", Label.NON_SATD) for i in range(10)]
+    manifest = write_corpus(tmp_path, {"Raw": rows})
+    config = build_config(overrides={
+        "manifest": str(manifest), "scenario": "intra", "classifier": "mat_strict",
+        "k": "2", "seed": "1",
+    })
+    assert _unit_counts(run_experiment(config)) == (1, 1)
+
+
 def test_run_cross_linear_pattern_transfers(tmp_path):
     manifest = _write_pair_corpus(tmp_path, n_a=400, n_b=400, seed_a=3, seed_b=4)
     config = build_config(overrides={
@@ -443,6 +491,34 @@ def test_import_predictions_rejects_non_integer_ids(tmp_path, bad_id):
         import_predictions(path, expected=[("A", 0), ("A", 1)])
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("score", "true", "score must be a number"),
+    ("score", "false", "score must be a number"),
+    ("score", '"0.7"', "score must be a number"),
+    ("score", "null", "score must be a number"),
+    ("score", "[0.5]", "score must be a number"),
+    ("project", "7", "project must be a string"),
+    ("project", "null", "project must be a string"),
+    ("project", "true", "project must be a string"),
+    ("project", '["A"]', "project must be a string"),
+])
+def test_import_predictions_rejects_mistyped_fields(tmp_path, field, value, message):
+    record = {"project": '"A"', "id": "1", "score": "0.75", field: value}
+    line = ", ".join(f'"{k}": {v}' for k, v in record.items())
+    path = tmp_path / "preds.jsonl"
+    path.write_text('{"project": "A", "id": 0, "score": 0.25}\n{' + line + "}\n",
+                    encoding="utf-8")
+    with pytest.raises(DataError, match=f"line 2: {message}"):
+        import_predictions(path, expected=[("A", 0), ("A", 1)])
+
+
+def test_import_predictions_keeps_integer_scores_as_floats(tmp_path):
+    path = tmp_path / "preds.jsonl"
+    path.write_text('{"project": "A", "id": 0, "score": 1}\n', encoding="utf-8")
+    score = import_predictions(path)[("A", 0)]
+    assert score == 1.0 and type(score) is float
+
+
 def test_external_trainer_equivalence(tmp_path):
     """Training from the exported stream and importing the scores must give
     exactly the metrics of the in-process linear run."""
@@ -462,11 +538,7 @@ def test_external_trainer_equivalence(tmp_path):
     # stand-in external trainer: same model family, driven only by the
     # exported artifacts plus the deterministic vocabulary recipe
     predictions_path = tmp_path / "preds.jsonl"
-    hyper = LinearHyper(
-        learning_rate=in_process.learning_rate,
-        epochs=in_process.epochs,
-        l2=in_process.l2,
-    )
+    hyper = LinearHyper(learning_rate=in_process.learning_rate, l2=in_process.l2)
     with predictions_path.open("w", encoding="utf-8") as fh:
         for unit in manifest_data["units"]:
             test_pairs = [(p, i) for p, i in unit["test"]]
@@ -478,11 +550,8 @@ def test_external_trainer_equivalence(tmp_path):
             for line in (export_dir / unit["batches"]).read_text(encoding="utf-8").splitlines():
                 record = json.loads(line)
                 items = tuple(
-                    (
-                        make_comment(item["id"], item["text"], Label(item["label"]),
-                                     project=item["project"]),
-                        Label(item["label"]),
-                    )
+                    make_comment(item["id"], item["text"], Label(item["label"]),
+                                 project=item["project"])
                     for item in record["items"]
                 )
                 batches.append(Batch(items=items, adjusted=record["adjusted"],

@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from satdkit.classifier import MatClassifier
-from satdkit.corpus import Label
+from satdkit.classifier import mat_score
 from satdkit.errors import DataError
 from satdkit.lexicon import (
     FUZZY,
@@ -17,7 +16,6 @@ from satdkit.lexicon import (
     mat_lexicon,
     remove_triggers,
 )
-from satdkit.preprocess import split_identifiers
 
 MAT = mat_lexicon()
 DUP = dup_lexicon()
@@ -125,19 +123,14 @@ def test_strict_subset_of_fuzzy():
 
 
 def test_mat_classify_examples():
-    keyword = MatClassifier(MAT)
-    easy = split_identifiers("//TODO: I have no idea how to get it...")
-    hard = split_identifiers("// sorry - otherwise we will get a ClassCastException")
-    vague = split_identifiers("// refactor later")
-    assert keyword.classify(easy) is Label.SATD
-    assert keyword.classify(hard) is Label.NON_SATD
-    assert keyword.classify(vague) is Label.NON_SATD
+    assert mat_score(MAT, "//TODO: I have no idea how to get it...") == 1.0
+    assert mat_score(MAT, "// sorry - otherwise we will get a ClassCastException") == 0.0
+    assert mat_score(MAT, "// refactor later") == 0.0
 
 
 def test_mat_classify_case_invariant():
-    keyword = MatClassifier(MAT)
     for text in ("// Fixme now", "// FIXME NOW", "// fixme now"):
-        assert keyword.classify(split_identifiers(text)) is Label.SATD
+        assert mat_score(MAT, text) == 1.0
 
 
 def test_lexicon_validation():

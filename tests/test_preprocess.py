@@ -16,36 +16,35 @@ def _random_strings(seed, count, max_len=80):
 
 def test_java_identifier_example():
     out = split_identifiers("new CharParserForJavaOrSomething();")
-    assert out.text == "new Char Parser For Java Or Something();"
-    assert out.original == "new CharParserForJavaOrSomething();"
+    assert out == "new Char Parser For Java Or Something();"
 
 
 def test_no_camel_boundaries_unchanged():
-    assert split_identifiers("hello world;").text == "hello world;"
+    assert split_identifiers("hello world;") == "hello world;"
 
 
 def test_acronym_boundary():
-    assert split_identifiers("getHTTPResponseCode").text == "get HTTP Response Code"
+    assert split_identifiers("getHTTPResponseCode") == "get HTTP Response Code"
 
 
 def test_digits_do_not_split():
-    assert split_identifiers("utf8To16").text == "utf8To16"
+    assert split_identifiers("utf8To16") == "utf8To16"
 
 
 def test_existing_whitespace_preserved():
-    assert split_identifiers("a  b\tcD").text == "a  b\tc D"
+    assert split_identifiers("a  b\tcD") == "a  b\tc D"
 
 
 def test_space_erasure_property():
     for s in _random_strings(101, 1000):
         out = split_identifiers(s)
-        assert out.text.replace(" ", "") == s.replace(" ", "")
+        assert out.replace(" ", "") == s.replace(" ", "")
 
 
 def test_idempotence_property():
     for s in _random_strings(202, 1000):
-        once = split_identifiers(s).text
-        assert split_identifiers(once).text == once
+        once = split_identifiers(s)
+        assert split_identifiers(once) == once
 
 
 def test_segment_words_examples():
@@ -73,7 +72,7 @@ def test_segment_splits_all_whitespace():
 
 def test_segment_never_yields_empty_words():
     for s in _random_strings(303, 500):
-        words = segment_words(split_identifiers(s).text)
+        words = segment_words(split_identifiers(s))
         assert all(words)
         assert all(not any(ch.isspace() for ch in w) for w in words)
 
