@@ -17,6 +17,7 @@ from satdkit import (
     Comment,
     Label,
     ProjectDataset,
+    WordCache,
     apply_denylist,
     augment_vocabulary,
     char_base_vocabulary,
@@ -45,7 +46,10 @@ collection = CorpusCollection("demo", tuple(projects))
 base = char_base_vocabulary()  # stand-in base: specials + printable ASCII chars
 print(f"base vocabulary size: {base.size}")
 
-candidates = discover_candidate_tokens(collection, base, threshold=0.25)
+# each comment is split and segmented once; discovery counts per-project word sets
+words = WordCache()
+project_words = words.project_words(c for ds in collection for c in ds.comments)
+candidates = discover_candidate_tokens(project_words, base, threshold=0.25)
 print("\ndiscovered candidates (word, projects containing it, fraction):")
 for c in candidates:
     print(f"  {c.token!r:16} {c.project_count}  {c.project_fraction:.3f}")
@@ -61,7 +65,7 @@ print(f"augmented vocabulary size: {base.size} + {len(finals)} = {vocab.size}")
 
 text = split_identifiers("// classpath rarity")
 for v, name in ((base, "base"), (vocab, "augmented")):
-    seq = tokenize(v, text)
+    seq = tokenize(v, words[text])
     pieces = [v.tokens[i] for i in seq.ids]
     print(f"\n{name} tokenization of {text!r}:")
     print(f"  {pieces}")

@@ -74,6 +74,7 @@ from .vocab import (
     CandidateToken,
     TokenSequence,
     Vocabulary,
+    WordCache,
     apply_denylist,
     augment_vocabulary,
     char_base_vocabulary,
@@ -101,7 +102,7 @@ __all__ = [
     "TriggerLexicon", "dup_lexicon", "find_triggers", "load_lexicon",
     "mat_lexicon", "remove_triggers",
     "segment_words", "split_identifiers",
-    "CandidateToken", "TokenSequence", "Vocabulary", "apply_denylist",
+    "CandidateToken", "TokenSequence", "Vocabulary", "WordCache", "apply_denylist",
     "augment_vocabulary", "char_base_vocabulary", "discover_candidate_tokens",
     "load_base_vocabulary", "save_vocabulary", "tokenize",
 ]

@@ -1,6 +1,7 @@
-"""The two built-in models, each a function from comment text to a score in
-[0, 1]; the harness predicts SATD iff score >= threshold. An external neural
-trainer replaces them through the batch-export / prediction-import bridge.
+"""The two built-in models, each a function from a comment (its raw text or
+its words) to a score in [0, 1]; the harness predicts SATD iff score >=
+threshold. An external neural trainer replaces them through the
+batch-export / prediction-import bridge.
 
 * ``mat_score``: the keyword baseline, 1.0 when a trigger matches the raw
   comment (no training),
@@ -22,8 +23,8 @@ from .augment import Batch
 from .corpus import Comment, Label
 from .errors import RunError
 from .lexicon import TriggerLexicon, find_triggers
-from .preprocess import split_identifiers
-from .vocab import Vocabulary, tokenize
+from .preprocess import split_identifiers  # noqa: F401  (bench/tracer.py patches this name)
+from .vocab import Vocabulary, WordCache, tokenize
 
 
 @dataclass(frozen=True)
@@ -41,30 +42,17 @@ class LinearModelState:
 
 
 def presence_features(
-    vocab: Vocabulary, text: str, max_seq_len: int = 128
+    vocab: Vocabulary, words: Iterable[str], max_seq_len: int = 128
 ) -> tuple[int, ...]:
-    """Sorted unique token ids of an identifier-split comment, specials excluded."""
-    seq = tokenize(vocab, text, max_seq_len=max_seq_len)
+    """Sorted unique token ids of a comment's words, specials excluded."""
+    seq = tokenize(vocab, words, max_seq_len=max_seq_len)
     return tuple(sorted(set(seq.ids) - vocab.special_ids))
-
-
-def _features_for_comment(
-    vocab: Vocabulary,
-    comment: Comment,
-    max_seq_len: int,
-    cache: dict[tuple[str, int], tuple[int, ...]],
-) -> tuple[int, ...]:
-    key = (comment.project, comment.id)
-    feats = cache.get(key)
-    if feats is None:
-        feats = presence_features(vocab, split_identifiers(comment.text), max_seq_len)
-        cache[key] = feats
-    return feats
 
 
 def train_linear(
     stream: Iterable[Batch],
     vocab: Vocabulary,
+    words: WordCache,
     hyper: LinearHyper = LinearHyper(),
     max_seq_len: int = 128,
 ) -> LinearModelState:
@@ -73,15 +61,18 @@ def train_linear(
 
     Batches are consumed in stream order; weights start at zero, so training
     is fully deterministic for a fixed stream. An empty stream returns the
-    zero state.
+    zero state. Each distinct comment is featurized once, from ``words``.
     """
     if hyper.learning_rate < 0:
         raise ValueError(f"learning_rate must be >= 0, got {hyper.learning_rate}")
     w = np.zeros(vocab.size, dtype=np.float64)
     b = 0.0
-    cache: dict[tuple[str, int], tuple[int, ...]] = {}
+    feats_of: dict[Comment, tuple[int, ...]] = {}
     for batch in stream:
-        feats = [_features_for_comment(vocab, c, max_seq_len, cache) for c in batch.items]
+        for c in batch.items:
+            if c not in feats_of:
+                feats_of[c] = presence_features(vocab, words[c.text], max_seq_len)
+        feats = [feats_of[c] for c in batch.items]
         y = np.array([1.0 if c.label is Label.SATD else 0.0 for c in batch.items])
         z = np.array([w[list(f)].sum() + b for f in feats])
         p = expit(z)
@@ -107,11 +98,11 @@ def train_linear(
 def predict_linear(
     state: LinearModelState,
     vocab: Vocabulary,
-    text: str,
+    words: Iterable[str],
     max_seq_len: int = 128,
 ) -> float:
-    """logistic(w . x + b) with x the binary presence vector."""
-    feats = presence_features(vocab, text, max_seq_len)
+    """logistic(w . x + b) with x the binary presence vector of ``words``."""
+    feats = presence_features(vocab, words, max_seq_len)
     z = state.weights[list(feats)].sum() + state.bias
     return float(expit(z))
 

@@ -35,6 +35,7 @@ from .harness import (
 from .vocab import (
     CONTINUATION_PREFIX,
     SPECIALS,
+    WordCache,
     augment_vocabulary,
     load_base_vocabulary,
     save_vocabulary,
@@ -128,7 +129,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_vocab_build(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     collection = load_config_collection(config)
-    base, candidates, n_denied = vocabulary_candidates(config, collection)
+    project_words = WordCache().project_words(c for ds in collection for c in ds.comments)
+    base, candidates, n_denied = vocabulary_candidates(config, project_words)
     vocab = augment_vocabulary(base, candidates)
     save_vocabulary(vocab, args.out)
     if args.candidates_csv:

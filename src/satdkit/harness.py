@@ -48,7 +48,6 @@ from .corpus import (
     CorpusCollection,
     Label,
     LabelMapping,
-    ProjectDataset,
     load_collection,
     load_label_mapping,
     strip_comment,
@@ -62,10 +61,11 @@ from .evalkit import (
     stratified_kfold,
 )
 from .lexicon import FUZZY, STRICT, TriggerLexicon, dup_lexicon, load_lexicon, mat_lexicon
-from .preprocess import split_identifiers
+from .preprocess import split_identifiers  # noqa: F401  (bench/tracer.py patches this name)
 from .vocab import (
     CandidateToken,
     Vocabulary,
+    WordCache,
     apply_denylist,
     augment_vocabulary,
     char_base_vocabulary,
@@ -306,35 +306,48 @@ def report_to_dict(report: EvalReport) -> dict:
     }
 
 
+_SCORES = ("precision", "recall", "f1")
+_NUMBER = (int, float)
+
+
+def _typed(obj: dict, key: str, where: str, types: tuple[type, ...], nullable: bool = False):
+    """``obj[key]`` when it is an instance of ``types`` (never a bool), or
+    null when ``nullable``; otherwise a DataError naming its path."""
+    value = obj[key]
+    if (value is None and nullable) or (isinstance(value, types) and not isinstance(value, bool)):
+        return value
+    expected = " or ".join(t.__name__ for t in types) + (" or null" if nullable else "")
+    raise DataError(f"{where}{key}: expected {expected}, got {value!r}")
+
+
 def report_from_dict(payload: dict) -> EvalReport:
     if payload.get("format") != "eval-report@1":
         raise DataError(f"unsupported report format {payload.get('format')!r}")
     projects = []
-    for p in payload["projects"]:
+    for i, p in enumerate(payload["projects"]):
+        at = f"projects[{i}]."
         units = []
-        for u in p["units"]:
+        for j, u in enumerate(p["units"]):
             m = u["metrics"]
-            metrics = (
-                MetricResult(
-                    tp=m["tp"], fp=m["fp"], fn=m["fn"], tn=m["tn"],
-                    precision=m["precision"], recall=m["recall"], f1=m["f1"],
-                )
-                if m is not None
-                else None
+            where = f"{at}units[{j}].metrics."
+            metrics = None if m is None else MetricResult(
+                **{k: _typed(m, k, where, (int,)) for k in ("tp", "fp", "fn", "tn")},
+                **{k: _typed(m, k, where, _NUMBER) for k in _SCORES},
             )
-            units.append(UnitResult(unit=u["unit"], metrics=metrics, error=u["error"]))
+            unit = _typed(u, "unit", f"{at}units[{j}].", (str,))
+            units.append(UnitResult(unit=unit, metrics=metrics, error=u["error"]))
         projects.append(
             ProjectResult(
-                project=p["project"], units=tuple(units), precision=p["precision"],
-                recall=p["recall"], f1=p["f1"], note=p.get("note"),
+                project=_typed(p, "project", at, (str,)), units=tuple(units),
+                **{k: _typed(p, k, at, _NUMBER, nullable=True) for k in _SCORES},
+                note=p.get("note"),
             )
         )
     avg = payload["average"]
     return EvalReport(
         scenario=payload["scenario"], digest=payload["digest"], seed=payload["seed"],
-        config=payload["config"], projects=tuple(projects),
-        average_precision=avg["precision"], average_recall=avg["recall"],
-        average_f1=avg["f1"],
+        config=_typed(payload, "config", "", (dict,)), projects=tuple(projects),
+        **{f"average_{k}": _typed(avg, k, "average.", _NUMBER, nullable=True) for k in _SCORES},
     )
 
 
@@ -571,46 +584,31 @@ def training_stream(
 
 
 def vocabulary_candidates(
-    config: ExperimentConfig, collection: CorpusCollection
+    config: ExperimentConfig, project_words: list[set[str]]
 ) -> tuple[Vocabulary, list[CandidateToken], int]:
-    """The configured base vocabulary, the tokens discovered in
-    ``collection`` that survive the denylist, and how many it dropped."""
+    """The configured base vocabulary, the tokens discovered in the
+    per-project word sets that survive the denylist, and how many it dropped."""
     if config.vocab_base:
         base = load_base_vocabulary(config.vocab_base)
     else:
         base = char_base_vocabulary()
-    candidates = discover_candidate_tokens(collection, base, threshold=config.vocab_threshold)
+    candidates = discover_candidate_tokens(project_words, base, threshold=config.vocab_threshold)
     n_found = len(candidates)
     if config.vocab_denylist:
         candidates = apply_denylist(candidates, config.vocab_denylist)
     return base, candidates, n_found - len(candidates)
 
 
-def build_vocabulary(
-    config: ExperimentConfig,
-    collection: CorpusCollection,
-    train: Iterable[Comment] | None = None,
-) -> Vocabulary:
-    """Base vocabulary plus discovered domain tokens minus the denylist.
+def build_vocabulary(config: ExperimentConfig, project_words: list[set[str]]) -> Vocabulary:
+    """Base vocabulary plus the tokens discovered in the per-project word
+    sets (see ``WordCache.project_words``) minus the denylist.
 
-    vocab_scope=train discovers tokens from the given training comments
-    only (leak-free); vocab_scope=all uses the whole collection, i.e. one
-    universal tokenizer shared by every unit, including its test data. A
-    run passes the whole manifest here, so with vocab_scope=all discovery
-    also counts the projects that the ``projects`` key leaves out.
+    A run passes the unit's training comments under vocab_scope=train
+    (leak-free), and under vocab_scope=all every project of the manifest,
+    including those the ``projects`` key leaves out: one universal tokenizer
+    shared by every unit, test data included.
     """
-    if config.vocab_scope == "train" and train is not None:
-        by_project: dict[str, list[Comment]] = {}
-        for c in train:
-            by_project.setdefault(c.project, []).append(c)
-        collection = CorpusCollection(
-            name="train-scope",
-            projects=tuple(
-                ProjectDataset.from_comments(name, comments)
-                for name, comments in by_project.items()
-            ),
-        )
-    base, candidates, _ = vocabulary_candidates(config, collection)
+    base, candidates, _ = vocabulary_candidates(config, project_words)
     return augment_vocabulary(base, candidates)
 
 
@@ -623,7 +621,7 @@ def _assert_no_leakage(train: Iterable[Comment], test: Iterable[Comment]) -> Non
 
 def _evaluate_unit(
     config: ExperimentConfig,
-    collection: CorpusCollection,
+    words: WordCache,
     spec: UnitSpec,
     shared_vocab: Vocabulary | None,
     predictions: dict[tuple[str, int], float] | None,
@@ -631,21 +629,20 @@ def _evaluate_unit(
     if config.classifier == "external":
         assert predictions is not None
         scores = [predictions[(c.project, c.id)] for c in spec.test]
-    else:
+    elif config.classifier == "linear":
         batches, train = training_stream(config, spec)
         _assert_no_leakage(train, spec.test)
-        if config.classifier == "linear":
-            vocab = shared_vocab or build_vocabulary(config, collection, spec.train)
-            hyper = classifier.LinearHyper(learning_rate=config.learning_rate, l2=config.l2)
-            n = config.max_seq_len
-            state = classifier.train_linear(batches, vocab, hyper, n)
-            texts = (split_identifiers(c.text) for c in spec.test)
-            scores = [classifier.predict_linear(state, vocab, t, n) for t in texts]
-        else:
-            # the keyword baseline needs no training: its stream goes unread
-            mode = FUZZY if config.classifier == "mat_fuzzy" else STRICT
-            lex = _resolve_mat_lexicon(config, mode)
-            scores = [classifier.mat_score(lex, c.text) for c in spec.test]
+        vocab = shared_vocab or build_vocabulary(config, words.project_words(spec.train))
+        hyper = classifier.LinearHyper(learning_rate=config.learning_rate, l2=config.l2)
+        n = config.max_seq_len
+        state = classifier.train_linear(batches, vocab, words, hyper, n)
+        scores = [classifier.predict_linear(state, vocab, words[c.text], n) for c in spec.test]
+    else:
+        # the keyword baseline needs no training, so no training stream
+        _assert_no_leakage(spec.train, spec.test)
+        mode = FUZZY if config.classifier == "mat_fuzzy" else STRICT
+        lex = _resolve_mat_lexicon(config, mode)
+        scores = [classifier.mat_score(lex, c.text) for c in spec.test]
     preds = [Label.SATD if s >= config.threshold else Label.NON_SATD for s in scores]
     return compute_metrics(preds, [c.label for c in spec.test])
 
@@ -688,14 +685,16 @@ def run_experiment(
     if config.classifier == "external":
         expected = [(c.project, c.id) for spec in specs for c in spec.test]
         predictions = import_predictions(config.predictions_path, expected=expected)
+    words = WordCache()
     shared_vocab = None
     if config.classifier == "linear" and config.vocab_scope == "all":
-        shared_vocab = build_vocabulary(config, collection)
+        comments = (c for ds in collection for c in ds.comments)
+        shared_vocab = build_vocabulary(config, words.project_words(comments))
     selected = _select_projects(collection, config.projects)
     by_project: dict[str, list[UnitResult]] = {ds.project: [] for ds in selected.projects}
     for spec in specs:
         try:
-            metrics = _evaluate_unit(config, collection, spec, shared_vocab, predictions)
+            metrics = _evaluate_unit(config, words, spec, shared_vocab, predictions)
             result = UnitResult(unit=spec.unit, metrics=metrics)
         except SatdkitError as exc:
             log.warning("%s/%s failed: %s", spec.project, spec.unit, exc)

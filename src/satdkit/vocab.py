@@ -19,9 +19,10 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
+from typing import Iterable
 
-from .corpus import CorpusCollection
 from .errors import DataError
 from .preprocess import segment_words, split_identifiers
 
@@ -134,28 +135,38 @@ def char_base_vocabulary(alphabet: str | None = None) -> Vocabulary:
     return Vocabulary.from_tokens(tokens)
 
 
+class WordCache(dict[str, tuple[str, ...]]):
+    """Run-scoped map from raw comment text to its words (identifier split,
+    then segmented), computed on first lookup."""
+
+    def __missing__(self, text: str) -> tuple[str, ...]:
+        words = self[text] = tuple(segment_words(split_identifiers(text)))
+        return words
+
+    def project_words(self, comments: Iterable) -> list[set[str]]:
+        """One word set per project of ``comments``, in first-seen order."""
+        sets: dict[str, set[str]] = {}
+        for c in comments:
+            sets.setdefault(c.project, set()).update(self[c.text])
+        return list(sets.values())
+
+
 def discover_candidate_tokens(
-    collection: CorpusCollection, base: Vocabulary, threshold: float = 0.25
+    project_words: list[set[str]], base: Vocabulary, threshold: float = 0.25
 ) -> list[CandidateToken]:
     """Find corpus words worth adding to the base vocabulary.
 
-    A word (after identifier splitting and segmentation) is a candidate iff
-    it is not already a whole-word base token and occurs in strictly more
-    than ``threshold`` of the collection's projects. Reserved symbol words
-    like "//" participate like any other word. Output is sorted by
-    descending project count, ties broken lexicographically.
+    A word is a candidate iff it is not already a whole-word base token and
+    occurs in strictly more than ``threshold`` of the per-project word sets.
+    Reserved symbol words like "//" participate like any other word. Output
+    is sorted by descending project count, ties broken lexicographically.
     """
-    if not collection.projects:
+    if not project_words:
         raise DataError("empty collection")
     if not 0 <= threshold < 1:
         raise ValueError(f"threshold must be in [0, 1), got {threshold}")
-    counts: Counter[str] = Counter()
-    for ds in collection.projects:
-        words: set[str] = set()
-        for comment in ds.comments:
-            words.update(segment_words(split_identifiers(comment.text)))
-        counts.update(words)
-    total = len(collection.projects)
+    counts = Counter(chain.from_iterable(project_words))
+    total = len(project_words)
     candidates = [
         CandidateToken(token=word, project_count=n, project_fraction=n / total)
         for word, n in counts.items()
@@ -223,10 +234,10 @@ def _word_piece_ids(vocab: Vocabulary, word: str) -> list[int] | None:
 
 def tokenize(
     vocab: Vocabulary,
-    text: str,
+    words: Iterable[str],
     max_seq_len: int = 128,
 ) -> TokenSequence:
-    """Tokenize an identifier-split comment into a capped id sequence.
+    """Tokenize a comment's words into a capped id sequence.
 
     The result is CLS + word pieces + SEP; when the pieces overflow, they
     are cut so CLS and SEP survive and ``truncated`` is set.
@@ -234,7 +245,7 @@ def tokenize(
     if max_seq_len < 2:
         raise ValueError(f"max_seq_len must be >= 2, got {max_seq_len}")
     piece_ids: list[int] = []
-    for word in segment_words(text):
+    for word in words:
         pieces = _word_piece_ids(vocab, word)
         if pieces is None:
             piece_ids.append(vocab.unk_id)

@@ -125,5 +125,12 @@ def coverage_collection(seed=5, n_projects=8, n_shared=30, comments_per_project=
     return CorpusCollection("coverage", tuple(datasets))
 
 
+def collection_words(collection):
+    """One word set per project of ``collection``, as a run computes them."""
+    from satdkit.vocab import WordCache
+
+    return WordCache().project_words(c for ds in collection for c in ds.comments)
+
+
 def coverage_random_comment(rng):
     return " ".join(coverage_word(rng) for _ in range(rng.randint(3, 10)))

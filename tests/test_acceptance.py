@@ -17,6 +17,7 @@ from contextlib import contextmanager
 import pytest
 
 from helpers import (
+    collection_words,
     coverage_base_vocab,
     coverage_collection,
     coverage_random_comment,
@@ -51,6 +52,7 @@ from satdkit.harness import (
 from satdkit.lexicon import STRICT, TriggerLexicon, dup_lexicon, find_triggers
 from satdkit.preprocess import split_identifiers
 from satdkit.vocab import (
+    WordCache,
     augment_vocabulary,
     discover_candidate_tokens,
     load_base_vocabulary,
@@ -244,13 +246,16 @@ def test_criterion_07_tokenizer_properties():
         started = time.monotonic()
         base = coverage_base_vocab()
         collection = coverage_collection(seed=70)
-        grown = augment_vocabulary(base, discover_candidate_tokens(collection, base))
+        grown = augment_vocabulary(
+            base, discover_candidate_tokens(collection_words(collection), base)
+        )
+        cache = WordCache()
         words = set()
         for comment in (c for ds in collection for c in ds.comments):
             words.update(comment.text.split())
         for vocab in (base, grown):
             for word in words:
-                seq = tokenize(vocab, split_identifiers(word))
+                seq = tokenize(vocab, cache[word])
                 pieces = seq.ids[1:-1]
                 if vocab.unk_id in pieces:
                     continue
@@ -263,9 +268,9 @@ def test_criterion_07_tokenizer_properties():
         rng = random.Random(77)
         improved = 0
         for _ in range(10_000):
-            text = split_identifiers(coverage_random_comment(rng))
-            before = tokenize(base, text).ids.count(base.unk_id)
-            after = tokenize(grown, text).ids.count(grown.unk_id)
+            comment_words = cache[coverage_random_comment(rng)]
+            before = tokenize(base, comment_words).ids.count(base.unk_id)
+            after = tokenize(grown, comment_words).ids.count(grown.unk_id)
             assert after <= before
             improved += after < before
         assert improved > 0
@@ -288,7 +293,8 @@ def test_criterion_08_vocabulary_threshold():
             ]
             projects.append(ProjectDataset.from_comments(f"p{i}", comments))
         collection = CorpusCollection("eight", tuple(projects))
-        tokens = {c.token: c for c in discover_candidate_tokens(collection, base, 0.25)}
+        candidates = discover_candidate_tokens(collection_words(collection), base, 0.25)
+        tokens = {c.token: c for c in candidates}
         assert "treble" in tokens
         assert tokens["treble"].project_fraction == pytest.approx(0.375)
         assert "borderline" not in tokens
@@ -305,9 +311,10 @@ def test_criterion_09_gradient_check():
             ["[UNK]", "[PAD]", "[CLS]", "[SEP]"] + feature_tokens
         )
         hyper = LinearHyper(learning_rate=0.3, l2=1e-3)
+        words = WordCache()
 
         def loss(w, b, batch):
-            feats = [presence_features(vocab, split_identifiers(c.text)) for c in batch.items]
+            feats = [presence_features(vocab, words[c.text]) for c in batch.items]
             y = np.array([1.0 if c.label is Label.SATD else 0.0 for c in batch.items])
             z = np.array([w[list(f)].sum() + b for f in feats])
             return float(
@@ -326,8 +333,8 @@ def test_criterion_09_gradient_check():
                 return Batch(items=tuple(items), adjusted=False, epoch=0, batch_index=index)
 
             b1, b2 = rand_batch(0), rand_batch(1)
-            state1 = train_linear([b1], vocab, hyper)
-            state2 = train_linear([b1, b2], vocab, hyper)
+            state1 = train_linear([b1], vocab, words, hyper)
+            state2 = train_linear([b1, b2], vocab, words, hyper)
             h = 1e-6
             grad_w = np.zeros_like(state1.weights)
             for j in range(len(grad_w)):

@@ -17,10 +17,11 @@ from satdkit.corpus import Label
 from satdkit.errors import RunError
 from satdkit.lexicon import FUZZY, STRICT, TriggerLexicon, mat_lexicon
 from satdkit.preprocess import split_identifiers
-from satdkit.vocab import Vocabulary
+from satdkit.vocab import Vocabulary, WordCache
 
 FEATURE_TOKENS = ["f0", "f1", "f2", "f3", "f4"]
 VOCAB = Vocabulary.from_tokens(["[UNK]", "[PAD]", "[CLS]", "[SEP]"] + FEATURE_TOKENS)
+WORDS = WordCache()
 
 
 def _batch(items, epoch=0, batch_index=0):
@@ -42,7 +43,7 @@ def _random_batch(rng, size, batch_index=0):
 
 
 def _loss(w, b, batch, hyper, vocab=VOCAB):
-    feats = [presence_features(vocab, split_identifiers(c.text)) for c in batch.items]
+    feats = [presence_features(vocab, WORDS[c.text]) for c in batch.items]
     y = np.array([1.0 if c.label is Label.SATD else 0.0 for c in batch.items])
     z = np.array([w[list(f)].sum() + b for f in feats])
     return float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * hyper.l2 * float(w @ w))
@@ -56,8 +57,8 @@ def test_gradient_matches_central_differences():
     for trial in range(5):
         b1 = _random_batch(rng, 8, batch_index=0)
         b2 = _random_batch(rng, 8, batch_index=1)
-        state1 = train_linear([b1], VOCAB, hyper)
-        state2 = train_linear([b1, b2], VOCAB, hyper)
+        state1 = train_linear([b1], VOCAB, WORDS, hyper)
+        state2 = train_linear([b1, b2], VOCAB, WORDS, hyper)
         h = 1e-6
         num_grad_w = np.zeros_like(state1.weights)
         for j in range(len(num_grad_w)):
@@ -76,17 +77,17 @@ def test_gradient_matches_central_differences():
 
 
 def test_empty_stream_keeps_zero_state():
-    state = train_linear([], VOCAB, LinearHyper())
+    state = train_linear([], VOCAB, WORDS, LinearHyper())
     assert not state.weights.any()
     assert state.bias == 0.0
-    score = predict_linear(state, VOCAB, split_identifiers("f0 f3 anything"))
+    score = predict_linear(state, VOCAB, WORDS["f0 f3 anything"])
     assert score == 0.5
 
 
 def test_zero_learning_rate_keeps_state():
     rng = random.Random(5)
     batches = [_random_batch(rng, 6, i) for i in range(4)]
-    state = train_linear(batches, VOCAB, LinearHyper(learning_rate=0.0))
+    state = train_linear(batches, VOCAB, WORDS, LinearHyper(learning_rate=0.0))
     assert not state.weights.any()
     assert state.bias == 0.0
 
@@ -104,11 +105,11 @@ def test_separable_toy_set_reaches_full_accuracy():
         for i in range(20)
     ]
     stream = plain_batches(toy, SamplerConfig(seed=3, batch_size=4, epochs=5))
-    state = train_linear(stream, vocab, LinearHyper())
+    state = train_linear(stream, vocab, WORDS, LinearHyper())
     correct = sum(
         1
         for c in toy
-        if (predict_linear(state, vocab, split_identifiers(c.text)) >= 0.5)
+        if (predict_linear(state, vocab, WORDS[c.text]) >= 0.5)
         == (c.label is Label.SATD)
     )
     assert correct == len(toy)
@@ -117,8 +118,8 @@ def test_separable_toy_set_reaches_full_accuracy():
 def test_training_is_deterministic():
     rng = random.Random(77)
     batches = [_random_batch(rng, 8, i) for i in range(6)]
-    a = train_linear(batches, VOCAB, LinearHyper())
-    b = train_linear(batches, VOCAB, LinearHyper())
+    a = train_linear(batches, VOCAB, WORDS, LinearHyper())
+    b = train_linear(batches, VOCAB, WORDS, LinearHyper())
     assert np.array_equal(a.weights, b.weights)
     assert a.bias == b.bias
 
@@ -127,37 +128,37 @@ def test_non_finite_loss_reports_batch():
     rng = random.Random(2)
     batches = [_random_batch(rng, 8, i) for i in range(3)]
     with pytest.raises(RunError, match="batch 1"):
-        train_linear(batches, VOCAB, LinearHyper(learning_rate=1e200, l2=1e-4))
+        train_linear(batches, VOCAB, WORDS, LinearHyper(learning_rate=1e200, l2=1e-4))
 
 
 def test_predict_zero_state():
     state = LinearModelState(weights=np.zeros(VOCAB.size), bias=0.0)
-    assert predict_linear(state, VOCAB, split_identifiers("f1 f2")) == 0.5
+    assert predict_linear(state, VOCAB, WORDS["f1 f2"]) == 0.5
 
 
 def test_predict_single_positive_weight():
     state = LinearModelState(weights=np.zeros(VOCAB.size), bias=0.0)
     state.weights[VOCAB.index["f0"]] = 4.0
-    score = predict_linear(state, VOCAB, split_identifiers("f0"))
+    score = predict_linear(state, VOCAB, WORDS["f0"])
     assert score == pytest.approx(0.982, abs=5e-4)
 
 
 def test_all_unk_scores_logistic_bias():
     state = LinearModelState(weights=np.ones(VOCAB.size), bias=-1.0)
-    score = predict_linear(state, VOCAB, split_identifiers("zzz qqq www"))
+    score = predict_linear(state, VOCAB, WORDS["zzz qqq www"])
     assert score == pytest.approx(1.0 / (1.0 + np.exp(1.0)))
 
 
 def test_score_monotone_in_positive_weight_token():
     state = LinearModelState(weights=np.zeros(VOCAB.size), bias=0.3)
     state.weights[VOCAB.index["f2"]] = 1.7
-    without = predict_linear(state, VOCAB, split_identifiers("f0 f1"))
-    with_token = predict_linear(state, VOCAB, split_identifiers("f0 f1 f2"))
+    without = predict_linear(state, VOCAB, WORDS["f0 f1"])
+    with_token = predict_linear(state, VOCAB, WORDS["f0 f1 f2"])
     assert with_token > without
 
 
 def test_presence_features_exclude_specials_and_dedupe():
-    feats = presence_features(VOCAB, split_identifiers("f0 f0 zzz f3"))
+    feats = presence_features(VOCAB, WORDS["f0 f0 zzz f3"])
     assert feats == (VOCAB.index["f0"], VOCAB.index["f3"])
 
 
@@ -167,9 +168,10 @@ def test_linear_classifier_contract():
                      Label.SATD if i % 2 else Label.NON_SATD)
         for i in range(12)
     ]
-    state = train_linear(plain_batches(toy, SamplerConfig(seed=1, batch_size=4, epochs=5)), VOCAB)
-    assert predict_linear(state, VOCAB, split_identifiers("f0 f1")) >= 0.5
-    assert predict_linear(state, VOCAB, split_identifiers("f2 f3")) < 0.5
+    stream = plain_batches(toy, SamplerConfig(seed=1, batch_size=4, epochs=5))
+    state = train_linear(stream, VOCAB, WORDS)
+    assert predict_linear(state, VOCAB, WORDS["f0 f1"]) >= 0.5
+    assert predict_linear(state, VOCAB, WORDS["f2 f3"]) < 0.5
 
 
 def test_mat_classifier_scores():

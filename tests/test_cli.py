@@ -129,19 +129,72 @@ def test_report_rerender(tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == (run_dir / "report.csv").read_text(encoding="utf-8")
 
 
+# a well-formed report.json payload; _mistyped() breaks one value in a copy
+VALID_REPORT = {
+    "format": "eval-report@1", "scenario": "intra", "digest": "d", "seed": 0,
+    "config": {"classifier": "mat_strict", "augmentation": "none"},
+    "projects": [{
+        "project": "P", "precision": 1.0, "recall": 0.5, "f1": 0.667, "note": None,
+        "units": [{"unit": "fold0", "error": None, "metrics": {
+            "tp": 1, "fp": 0, "fn": 1, "tn": 8, "precision": 1.0, "recall": 0.5, "f1": 0.667,
+        }}],
+    }],
+    "average": {"precision": 1.0, "recall": 0.5, "f1": None},
+}
+
+
+def _mistyped(*path_and_value):
+    *path, key, value = path_and_value
+    report = json.loads(json.dumps(VALID_REPORT))
+    target = report
+    for step in path:
+        target = target[step]
+    target[key] = value
+    return json.dumps(report)
+
+
+def test_report_renders_valid_fixture(tmp_path):
+    source = tmp_path / "report.json"
+    source.write_text(json.dumps(VALID_REPORT), encoding="utf-8")
+    for fmt in ("csv", "markdown"):
+        out = tmp_path / f"out.{fmt}"
+        assert main(["report", "--report", str(source), "--format", fmt, "--out", str(out)]) == 0
+        assert "n/a" in out.read_text(encoding="utf-8")
+
+
+UNIT = ("projects", 0, "units", 0)
+
+
 @pytest.mark.parametrize("content", [
     "not json at all",
     '{"format": "eval-report@1"}',
     "[1, 2]",
     None,  # no file
-], ids=["not_json", "no_projects", "not_object", "missing"])
+    _mistyped("projects", 0, "precision", "x"),
+    _mistyped("projects", 0, "recall", True),
+    _mistyped("projects", 0, "f1", [0.5]),
+    _mistyped("average", "f1", "0.5"),
+    _mistyped("average", "precision", False),
+    _mistyped(*UNIT, "metrics", "tp", 1.0),
+    _mistyped(*UNIT, "metrics", "fn", True),
+    _mistyped(*UNIT, "metrics", "f1", "x"),
+    _mistyped(*UNIT, "metrics", "recall", None),
+    _mistyped("projects", 0, "project", 7),
+    _mistyped(*UNIT, "unit", None),
+    _mistyped("config", []),
+], ids=["not_json", "no_projects", "not_object", "missing", "project_precision_str",
+        "project_recall_bool", "project_f1_list", "average_f1_str", "average_precision_bool",
+        "unit_tp_float", "unit_fn_bool", "unit_f1_str", "unit_recall_null", "project_name_int",
+        "unit_name_null", "config_list"])
 def test_report_rejects_malformed_report(tmp_path, capsys, content):
     source = tmp_path / "report.json"
     if content is not None:
         source.write_text(content, encoding="utf-8")
-    code = main(["report", "--report", str(source), "--out", str(tmp_path / "out.md")])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("data error: ")
-    assert str(source) in err
-    assert not (tmp_path / "out.md").exists()
+    for fmt in ("csv", "markdown"):
+        out = tmp_path / f"out.{fmt}"
+        code = main(["report", "--report", str(source), "--format", fmt, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("data error: ")
+        assert str(source) in err
+        assert not out.exists()

@@ -8,11 +8,13 @@ from helpers import (
     write_corpus,
     write_planted_corpus,
 )
-from satdkit.augment import Batch
+from satdkit import harness, vocab
+from satdkit.augment import Batch, dup_augment
 from satdkit.classifier import LinearHyper, predict_linear, train_linear
 from satdkit.corpus import Label
 from satdkit.errors import ConfigError, DataError, RunError
 from satdkit.evalkit import MetricResult
+from satdkit.lexicon import dup_lexicon
 from satdkit.harness import (
     EvalReport,
     ProjectResult,
@@ -33,7 +35,7 @@ from satdkit.harness import (
     run_experiment,
     training_stream,
 )
-from satdkit.preprocess import split_identifiers
+from satdkit.vocab import WordCache
 
 
 def _mixed_rows(seed, n_total, n_satd):
@@ -218,6 +220,49 @@ def test_mat_strict_scores_raw_comment_text(tmp_path):
         "k": "2", "seed": "1",
     })
     assert _unit_counts(run_experiment(config)) == (1, 1)
+
+
+def test_mat_units_build_no_training_stream(tmp_path, monkeypatch):
+    # the keyword baseline never reads a training stream, so dup_fmr must not
+    # strip triggers for it
+    calls = []
+    original = harness.dup_augment
+    monkeypatch.setattr(
+        harness, "dup_augment", lambda *a, **kw: calls.append(a) or original(*a, **kw)
+    )
+    manifest = write_planted_corpus(tmp_path / "data", n_total=80, n_satd=8, seed=3)
+    config = build_config(overrides={
+        "manifest": str(manifest), "outdir": str(tmp_path / "runs"), "scenario": "intra",
+        "classifier": "mat_strict", "augmentation": "dup_fmr", "k": "4", "seed": "1",
+    })
+    report = json.loads((execute_run(config) / "report.json").read_text(encoding="utf-8"))
+    assert calls == []
+    assert report["average"]["f1"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("scenario, augmentation", [("cross", "fmr"), ("intra", "dup_fmr")])
+def test_each_comment_text_is_segmented_once_per_run(
+    tmp_path, monkeypatch, scenario, augmentation
+):
+    projects = {name: planted_rows(seed, 30, 5) for seed, name in enumerate(("A", "B", "C"))}
+    projects["A"] += projects["A"][:10]  # repeated texts are segmented once too
+    manifest = write_corpus(tmp_path / "data", projects)
+    config = build_config(overrides={
+        "manifest": str(manifest), "outdir": str(tmp_path / "runs"), "scenario": scenario,
+        "classifier": "linear", "augmentation": augmentation, "k": "3", "epochs": "1",
+    })
+    collection = load_config_collection(config)
+    texts = {c.text for ds in collection for c in ds.comments}
+    if augmentation == "dup_fmr":
+        # every SATD comment is in some training split, so all its duplicates occur
+        for ds in collection:
+            augmented, _ = dup_augment(list(ds.comments), dup_lexicon())
+            texts |= {c.text for c in augmented}
+    segmented = []
+    original = vocab.segment_words
+    monkeypatch.setattr(vocab, "segment_words", lambda t: segmented.append(t) or original(t))
+    execute_run(config)
+    assert len(segmented) == len(texts)
 
 
 def test_run_cross_linear_pattern_transfers(tmp_path):
@@ -539,13 +584,14 @@ def test_external_trainer_equivalence(tmp_path):
     # exported artifacts plus the deterministic vocabulary recipe
     predictions_path = tmp_path / "preds.jsonl"
     hyper = LinearHyper(learning_rate=in_process.learning_rate, l2=in_process.l2)
+    words = WordCache()
     with predictions_path.open("w", encoding="utf-8") as fh:
         for unit in manifest_data["units"]:
             test_pairs = [(p, i) for p, i in unit["test"]]
             test_keys = set(test_pairs)
             ds = collection.get(unit["project"])
             train_comments = [c for c in ds.comments if (c.project, c.id) not in test_keys]
-            vocab = build_vocabulary(in_process, collection, train_comments)
+            vocab = build_vocabulary(in_process, words.project_words(train_comments))
             batches = []
             for line in (export_dir / unit["batches"]).read_text(encoding="utf-8").splitlines():
                 record = json.loads(line)
@@ -556,10 +602,10 @@ def test_external_trainer_equivalence(tmp_path):
                 )
                 batches.append(Batch(items=items, adjusted=record["adjusted"],
                                      epoch=record["epoch"], batch_index=record["batch"]))
-            state = train_linear(batches, vocab, hyper, max_seq_len=in_process.max_seq_len)
+            state = train_linear(batches, vocab, words, hyper, max_seq_len=in_process.max_seq_len)
             for project, cid in test_pairs:
                 comment = next(c for c in ds.comments if c.id == cid)
-                score = predict_linear(state, vocab, split_identifiers(comment.text),
+                score = predict_linear(state, vocab, words[comment.text],
                                        max_seq_len=in_process.max_seq_len)
                 fh.write(json.dumps({"project": project, "id": cid, "score": score}) + "\n")
 

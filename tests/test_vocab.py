@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers import (
+    collection_words,
     coverage_base_vocab,
     coverage_collection,
     coverage_random_comment,
@@ -10,10 +11,10 @@ from helpers import (
 )
 from satdkit.corpus import CorpusCollection, Label, ProjectDataset
 from satdkit.errors import DataError
-from satdkit.preprocess import split_identifiers
 from satdkit.vocab import (
     CandidateToken,
     Vocabulary,
+    WordCache,
     apply_denylist,
     augment_vocabulary,
     char_base_vocabulary,
@@ -25,6 +26,7 @@ from satdkit.vocab import (
 )
 
 SPECIALS = ["[UNK]", "[PAD]", "[CLS]", "[SEP]"]
+WORDS = WordCache()
 
 
 def toy_vocab(*extra):
@@ -79,7 +81,7 @@ def test_discovery_threshold_and_base_exclusion():
         for i in range(8)
     )
     collection = CorpusCollection("eight", projects)
-    candidates = discover_candidate_tokens(collection, base, threshold=0.25)
+    candidates = discover_candidate_tokens(collection_words(collection), base, threshold=0.25)
     by_token = {c.token: c for c in candidates}
     assert "grak" in by_token
     assert by_token["grak"].project_count == 3
@@ -95,7 +97,7 @@ def test_discovery_counts_projects_not_occurrences():
         _project("a", ["dup dup dup dup dup dup"]),
         _project("b", ["other words entirely"]),
     ))
-    candidates = discover_candidate_tokens(collection, base, threshold=0.25)
+    candidates = discover_candidate_tokens(collection_words(collection), base, threshold=0.25)
     dup = next(c for c in candidates if c.token == "dup")
     assert dup.project_count == 1
     assert dup.project_fraction == pytest.approx(0.5)
@@ -107,7 +109,8 @@ def test_discovery_sees_split_identifiers_and_symbols():
         _project("a", ["// getHTTPResponseCode()"]),
         _project("b", ["// Response()"]),
     ))
-    tokens = {c.token for c in discover_candidate_tokens(collection, base, threshold=0.25)}
+    candidates = discover_candidate_tokens(collection_words(collection), base, threshold=0.25)
+    tokens = {c.token for c in candidates}
     assert {"//", "()", "Response"} <= tokens
     assert "getHTTPResponseCode" not in tokens  # split before counting
 
@@ -119,7 +122,7 @@ def test_discovery_sorting():
         _project("b", ["zz aa"]),
         _project("c", ["zz"]),
     ))
-    candidates = discover_candidate_tokens(collection, base, threshold=0.0)
+    candidates = discover_candidate_tokens(collection_words(collection), base, threshold=0.0)
     assert [c.token for c in candidates] == ["zz", "aa", "bb"]
 
 
@@ -127,8 +130,10 @@ def test_discovery_order_independent():
     base = coverage_base_vocab()
     collection = coverage_collection(seed=5)
     reversed_projects = CorpusCollection("coverage-rev", tuple(reversed(collection.projects)))
-    forward = {c.token for c in discover_candidate_tokens(collection, base)}
-    backward = {c.token for c in discover_candidate_tokens(reversed_projects, base)}
+    forward = {c.token for c in discover_candidate_tokens(collection_words(collection), base)}
+    backward = {
+        c.token for c in discover_candidate_tokens(collection_words(reversed_projects), base)
+    }
     assert forward == backward
 
 
@@ -165,54 +170,55 @@ def test_augment_vocabulary():
 
 def test_tokenize_greedy_longest_match():
     vocab = toy_vocab("fix", "##me")
-    seq = tokenize(vocab, split_identifiers("fixme"))
+    seq = tokenize(vocab, WORDS["fixme"])
     assert [vocab.tokens[i] for i in seq.ids] == ["[CLS]", "fix", "##me", "[SEP]"]
     assert not seq.truncated
 
 
 def test_tokenize_unknown_word():
     vocab = toy_vocab("fix", "##me")
-    seq = tokenize(vocab, split_identifiers("zzz"))
+    seq = tokenize(vocab, WORDS["zzz"])
     assert [vocab.tokens[i] for i in seq.ids] == ["[CLS]", "[UNK]", "[SEP]"]
 
 
 def test_tokenize_long_word_is_unk():
     vocab = char_base_vocabulary("x")
-    seq = tokenize(vocab, split_identifiers("x" * 200))
+    seq = tokenize(vocab, WORDS["x" * 200])
     assert [i for i in seq.ids] == [vocab.cls_id, vocab.unk_id, vocab.sep_id]
-    assert tokenize(vocab, split_identifiers("x" * 100)).ids.count(vocab.unk_id) == 0
+    assert tokenize(vocab, WORDS["x" * 100]).ids.count(vocab.unk_id) == 0
 
 
 def test_tokenize_dead_end_is_whole_word_unk():
     # "ab" matches greedily but "##c" does not exist -> the whole word is UNK
     vocab = toy_vocab("ab", "a", "##b")
-    seq = tokenize(vocab, split_identifiers("abc"))
+    seq = tokenize(vocab, WORDS["abc"])
     assert [vocab.tokens[i] for i in seq.ids] == ["[CLS]", "[UNK]", "[SEP]"]
 
 
 def test_tokenize_truncation_keeps_cls_sep():
     vocab = char_base_vocabulary("ab")
-    text = split_identifiers("ab ab ab ab ab")
-    seq = tokenize(vocab, text, max_seq_len=6)
+    words = WORDS["ab ab ab ab ab"]
+    seq = tokenize(vocab, words, max_seq_len=6)
     assert len(seq.ids) == 6
     assert seq.ids[0] == vocab.cls_id
     assert seq.ids[-1] == vocab.sep_id
     assert seq.truncated
-    assert tokenize(vocab, text, max_seq_len=128).truncated is False
+    assert tokenize(vocab, words, max_seq_len=128).truncated is False
     with pytest.raises(ValueError):
-        tokenize(vocab, text, max_seq_len=1)
+        tokenize(vocab, words, max_seq_len=1)
 
 
 def test_tokenize_deterministic():
     vocab = toy_vocab("fix", "##me")
-    text = split_identifiers("fixme zzz fix")
-    assert tokenize(vocab, text, 16) == tokenize(vocab, text, 16)
+    words = WORDS["fixme zzz fix"]
+    assert tokenize(vocab, words, 16) == tokenize(vocab, words, 16)
 
 
 def test_detokenization_round_trip():
     base = coverage_base_vocab()
     collection = coverage_collection(seed=6)
-    grown = augment_vocabulary(base, discover_candidate_tokens(collection, base))
+    candidates = discover_candidate_tokens(collection_words(collection), base)
+    grown = augment_vocabulary(base, candidates)
     words = set()
     for comment in (c for ds in collection for c in ds.comments):
         words.update(comment.text.split())
@@ -220,7 +226,7 @@ def test_detokenization_round_trip():
     for vocab in (base, grown):
         n_covered = 0
         for word in words:
-            seq = tokenize(vocab, split_identifiers(word), max_seq_len=128)
+            seq = tokenize(vocab, WORDS[word], max_seq_len=128)
             piece_ids = seq.ids[1:-1]
             if vocab.unk_id in piece_ids:
                 continue
@@ -238,13 +244,14 @@ def test_detokenization_round_trip():
 def test_augmentation_monotonicity():
     base = coverage_base_vocab()
     collection = coverage_collection(seed=7)
-    grown = augment_vocabulary(base, discover_candidate_tokens(collection, base))
+    candidates = discover_candidate_tokens(collection_words(collection), base)
+    grown = augment_vocabulary(base, candidates)
     rng = random.Random(99)
     improved = 0
     for _ in range(1000):
-        text = split_identifiers(coverage_random_comment(rng))
-        before = tokenize(base, text).ids.count(base.unk_id)
-        after = tokenize(grown, text).ids.count(grown.unk_id)
+        words = WORDS[coverage_random_comment(rng)]
+        before = tokenize(base, words).ids.count(base.unk_id)
+        after = tokenize(grown, words).ids.count(grown.unk_id)
         assert after <= before
         if after < before:
             improved += 1
