@@ -13,7 +13,8 @@ from pathlib import Path
 
 from satdkit import LabelMapping, corpus_stats, format_stats_table, load_collection
 
-root = Path(tempfile.mkdtemp(prefix="satdkit-demo-"))
+workdir = tempfile.TemporaryDirectory(prefix="satdkit-demo-")
+root = Path(workdir.name)
 print(f"writing a demo corpus under {root}\n")
 
 rows = {
@@ -57,3 +58,5 @@ print(f"\nFrontend kept {frontend.n_total} rows and rejected {frontend.n_rejecte
 print("Comment ids are 0-based row indices after rejection filtering:")
 for comment in frontend.comments:
     print(f"  id={comment.id}  {comment.label.name:8}  {comment.text}")
+
+workdir.cleanup()

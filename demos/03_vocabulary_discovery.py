@@ -55,7 +55,8 @@ for c in candidates:
     print(f"  {c.token!r:16} {c.project_count}  {c.project_fraction:.3f}")
 assert all(c.token != "rarity" for c in candidates), "1 of 8 is under the bar"
 
-denylist = Path(tempfile.mkdtemp()) / "denylist.txt"
+workdir = tempfile.TemporaryDirectory(prefix="satdkit-demo-")
+denylist = Path(workdir.name) / "denylist.txt"
 denylist.write_text("ns\n", encoding="utf-8")
 finals = apply_denylist(candidates, denylist)
 print(f"\nafter denylisting 'ns': {len(candidates)} -> {len(finals)} candidates")
@@ -70,3 +71,5 @@ for v, name in ((base, "base"), (vocab, "augmented")):
     print(f"\n{name} tokenization of {text!r}:")
     print(f"  {pieces}")
 print("\n'classpath' is one token after augmentation; 'rarity' still spells out.")
+
+workdir.cleanup()

@@ -24,7 +24,8 @@ TRIGGERS = ["todo", "fixme", "hack", "xxx", "ugly"]
 WORDS = [f"w{i:02d}" for i in range(40)] + ["value", "parser", "cache", "thread"]
 
 rng = random.Random(7)
-root = Path(tempfile.mkdtemp(prefix="satdkit-demo-"))
+workdir = tempfile.TemporaryDirectory(prefix="satdkit-demo-")
+root = Path(workdir.name)
 rows = []
 flags = [True] * 100 + [False] * 1900
 rng.shuffle(flags)
@@ -65,3 +66,5 @@ print(f"  satdkit run --manifest {root / 'manifest.tsv'} \\")
 print("      --scenario intra --classifier linear --augmentation dup_fmr --seed 11")
 print("outputs land in runs/<config-digest>/{report.json,report.csv,report.md,"
       "folds.json,log.txt}")
+
+workdir.cleanup()

@@ -20,7 +20,8 @@ from pathlib import Path
 from satdkit import build_config, export_batches, run_experiment
 
 rng = random.Random(3)
-root = Path(tempfile.mkdtemp(prefix="satdkit-demo-"))
+workdir = tempfile.TemporaryDirectory(prefix="satdkit-demo-")
+root = Path(workdir.name)
 rows = []
 for i in range(200):
     satd = i % 10 == 0
@@ -86,3 +87,5 @@ print(f"\nwrote {len(seen)} predictions to {predictions_path}")
 report = run_experiment(config)
 print(f"external classifier report: mean-of-folds F1 = {report.projects[0].f1:.3f}")
 print("(1.000 expected: the rule matches the planted pattern exactly)")
+
+workdir.cleanup()

@@ -18,6 +18,7 @@ be re-generated independently and streams are fully reproducible.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -58,8 +59,8 @@ class SamplerConfig:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
         if not 0.0 <= self.trigger_prob <= 1.0:
             raise ValueError(f"trigger_prob must be in [0, 1], got {self.trigger_prob}")
-        if self.target_ratio < 1.0:
-            raise ValueError(f"target_ratio must be >= 1, got {self.target_ratio}")
+        if not (self.target_ratio >= 1.0 and math.isfinite(self.target_ratio)):
+            raise ValueError(f"target_ratio must be >= 1 and finite, got {self.target_ratio}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
 

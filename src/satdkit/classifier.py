@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import expit
 
 from .augment import Batch
-from .corpus import Comment, Label
+from .corpus import Label
 from .errors import RunError
 from .lexicon import TriggerLexicon, find_triggers
 from .preprocess import split_identifiers  # noqa: F401  (bench/tracer.py patches this name)
@@ -61,20 +61,28 @@ def train_linear(
 
     Batches are consumed in stream order; weights start at zero, so training
     is fully deterministic for a fixed stream. An empty stream returns the
-    zero state. Each distinct comment is featurized once, from ``words``.
+    zero state. Each distinct comment text is featurized once, from
+    ``words``, and a batch's gradient is one ``bincount`` over its items'
+    feature ids.
     """
     if hyper.learning_rate < 0:
         raise ValueError(f"learning_rate must be >= 0, got {hyper.learning_rate}")
     w = np.zeros(vocab.size, dtype=np.float64)
     b = 0.0
-    feats_of: dict[Comment, tuple[int, ...]] = {}
+    # the feature ids of each distinct comment text, as an index array
+    feats_of: dict[str, np.ndarray] = {}
     for batch in stream:
+        cols = []
         for c in batch.items:
-            if c not in feats_of:
-                feats_of[c] = presence_features(vocab, words[c.text], max_seq_len)
-        feats = [feats_of[c] for c in batch.items]
-        y = np.array([1.0 if c.label is Label.SATD else 0.0 for c in batch.items])
-        z = np.array([w[list(f)].sum() + b for f in feats])
+            f = feats_of.get(c.text)
+            if f is None:
+                feats = presence_features(vocab, words[c.text], max_seq_len)
+                f = feats_of[c.text] = np.array(feats, dtype=np.intp)
+            cols.append(f)
+        y = np.array([c.label is Label.SATD for c in batch.items], dtype=np.float64)
+        # one reduce per row, which adds pairwise; reduceat or a sparse
+        # matvec would add sequentially and move the last bits of z
+        z = np.fromiter([np.add.reduce(w[f]) for f in cols], np.float64, len(cols)) + b
         p = expit(z)
         # stable BCE: log(1+e^z) - y*z, plus the quadratic penalty; overflow
         # to inf is intentional here, it is what the finiteness check catches
@@ -85,11 +93,12 @@ def train_linear(
                 f"non-finite loss at epoch {batch.epoch} batch {batch.batch_index}"
             )
         g = p - y
-        grad = np.zeros_like(w)
-        for f, gi in zip(feats, g):
-            if f:
-                grad[list(f)] += gi
-        grad /= len(y)
+        # each feature sums its items' g from 0.0 in item order (bincount
+        # returns ints when no item has a feature; the division makes floats)
+        lens = [len(f) for f in cols]
+        grad = np.bincount(
+            np.concatenate(cols), weights=np.repeat(g, lens), minlength=vocab.size
+        ) / len(y)
         w = (1.0 - hyper.learning_rate * hyper.l2) * w - hyper.learning_rate * grad
         b -= hyper.learning_rate * float(g.mean())
     return LinearModelState(weights=w, bias=b)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import secrets
 from dataclasses import dataclass, fields
@@ -132,10 +133,10 @@ class ExperimentConfig:
             _sampler_config(self, self.seed)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if self.learning_rate < 0:
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.l2 < 0:
-            raise ConfigError(f"l2 must be >= 0, got {self.l2}")
+        for name in ("learning_rate", "l2"):
+            value = getattr(self, name)
+            if not (value >= 0 and math.isfinite(value)):
+                raise ConfigError(f"{name} must be >= 0 and finite, got {value}")
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError(f"threshold must be in [0, 1], got {self.threshold}")
         if self.max_seq_len < 2:

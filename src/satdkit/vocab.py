@@ -11,14 +11,16 @@ base vocabulary.
 Tokenization is the standard greedy longest-prefix scheme: non-initial
 pieces carry the ``##`` continuation marker, a word with no matching prefix
 (or longer than 100 characters) becomes a single UNK, and sequences are
-wrapped in CLS/SEP and truncated to a maximum length.
+wrapped in CLS/SEP and truncated to a maximum length. Each vocabulary
+memoizes the pieces of every word it has tokenized.
 """
 
 from __future__ import annotations
 
 import csv
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Iterable
@@ -36,10 +38,17 @@ SPECIALS = (UNK, PAD, CLS, SEP)
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Immutable token table: dense ids 0..size-1 in token-list order."""
+    """Immutable token table: dense ids 0..size-1 in token-list order.
+
+    ``pieces`` memoizes each tokenized word's piece ids (``(unk_id,)`` for an
+    UNK word); it is derived from the tokens, so it takes no part in equality.
+    """
 
     tokens: tuple[str, ...]
     index: dict[str, int]
+    pieces: dict[str, tuple[int, ...]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     @classmethod
     def from_tokens(cls, tokens: list[str] | tuple[str, ...]) -> "Vocabulary":
@@ -74,7 +83,7 @@ class Vocabulary:
     def sep_id(self) -> int:
         return self.index[SEP]
 
-    @property
+    @cached_property
     def special_ids(self) -> frozenset[int]:
         return frozenset(self.index[s] for s in SPECIALS)
 
@@ -244,13 +253,14 @@ def tokenize(
     """
     if max_seq_len < 2:
         raise ValueError(f"max_seq_len must be >= 2, got {max_seq_len}")
+    memo = vocab.pieces
     piece_ids: list[int] = []
     for word in words:
-        pieces = _word_piece_ids(vocab, word)
+        pieces = memo.get(word)
         if pieces is None:
-            piece_ids.append(vocab.unk_id)
-        else:
-            piece_ids.extend(pieces)
+            found = _word_piece_ids(vocab, word)
+            pieces = memo[word] = (vocab.unk_id,) if found is None else tuple(found)
+        piece_ids.extend(pieces)
     truncated = len(piece_ids) + 2 > max_seq_len
     if truncated:
         piece_ids = piece_ids[: max_seq_len - 2]

@@ -2,9 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from helpers import make_comment
-from satdkit.augment import Batch, SamplerConfig, plain_batches
+from helpers import COMMON_WORDS, make_comment, planted_project_comments
+from satdkit.augment import Batch, SamplerConfig, dup_augment, fmr_batches, plain_batches
 from satdkit.classifier import (
     LinearHyper,
     LinearModelState,
@@ -15,9 +16,15 @@ from satdkit.classifier import (
 )
 from satdkit.corpus import Label
 from satdkit.errors import RunError
-from satdkit.lexicon import FUZZY, STRICT, TriggerLexicon, mat_lexicon
+from satdkit.lexicon import FUZZY, STRICT, TriggerLexicon, dup_lexicon, mat_lexicon
 from satdkit.preprocess import split_identifiers
-from satdkit.vocab import Vocabulary, WordCache
+from satdkit.vocab import (
+    CandidateToken,
+    Vocabulary,
+    WordCache,
+    augment_vocabulary,
+    char_base_vocabulary,
+)
 
 FEATURE_TOKENS = ["f0", "f1", "f2", "f3", "f4"]
 VOCAB = Vocabulary.from_tokens(["[UNK]", "[PAD]", "[CLS]", "[SEP]"] + FEATURE_TOKENS)
@@ -74,6 +81,83 @@ def test_gradient_matches_central_differences():
         scale = max(1.0, float(np.abs(expected_w).max()))
         assert float(np.abs(state2.weights - expected_w).max()) / scale < 1e-5
         assert abs(state2.bias - expected_b) / max(1.0, abs(expected_b)) < 1e-5
+
+
+def _reference_train_linear(stream, vocab, words, hyper=LinearHyper(), max_seq_len=128):
+    """The per-item trainer loop that ``train_linear`` vectorizes, kept as
+    its bit-exact oracle."""
+    w = np.zeros(vocab.size, dtype=np.float64)
+    b = 0.0
+    feats_of = {}
+    for batch in stream:
+        for c in batch.items:
+            if c not in feats_of:
+                feats_of[c] = presence_features(vocab, words[c.text], max_seq_len)
+        feats = [feats_of[c] for c in batch.items]
+        y = np.array([1.0 if c.label is Label.SATD else 0.0 for c in batch.items])
+        z = np.array([w[list(f)].sum() + b for f in feats])
+        p = expit(z)
+        with np.errstate(over="ignore"):
+            loss = float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * hyper.l2 * float(w @ w))
+        if not np.isfinite(loss):
+            raise RunError(f"non-finite loss at epoch {batch.epoch} batch {batch.batch_index}")
+        g = p - y
+        grad = np.zeros_like(w)
+        for f, gi in zip(feats, g):
+            if f:
+                grad[list(f)] += gi
+        grad /= len(y)
+        w = (1.0 - hyper.learning_rate * hyper.l2) * w - hyper.learning_rate * grad
+        b -= hyper.learning_rate * float(g.mean())
+    return LinearModelState(weights=w, bias=b)
+
+
+def _oracle_streams(seed):
+    """Seeded plain, fmr and dup_fmr streams over a planted project whose
+    comments have up to 36 features each (character pieces plus some whole
+    words; from 8 features on, a pairwise and a sequential sum can differ),
+    with an all-UNK comment and a repeated one mixed in."""
+    train = planted_project_comments(seed, 120, 15, "P")
+    train.append(make_comment(500, "ÄÖÜ éè ß", Label.SATD))  # all UNK: no features
+    train.append(make_comment(501, "ÄÖÜ ñ", Label.NON_SATD))
+    cfg = SamplerConfig(seed=seed, batch_size=8, trigger_prob=0.5, epochs=3)
+    pool = [c for c in train if c.label is Label.SATD]
+    augmented, n_dup = dup_augment(train, dup_lexicon())
+    assert n_dup > 0
+    dup_pool = [c for c in augmented if c.label is Label.SATD]
+    repeated = _batch([train[0]] * 5 + [train[1], train[0], train[-2]], batch_index=99)
+    return {
+        "plain": list(plain_batches(train, cfg)),
+        "fmr": list(fmr_batches(train, pool, cfg)),
+        "dup_fmr": list(fmr_batches(augmented, dup_pool, cfg)) + [repeated],
+    }
+
+
+ORACLE_VOCAB = augment_vocabulary(
+    char_base_vocabulary(), [CandidateToken(w, 2, 0.5) for w in COMMON_WORDS[::3]]
+)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("hyper", [LinearHyper(), LinearHyper(learning_rate=1.0, l2=1e-3)])
+def test_train_linear_is_bit_exact_to_per_item_loop(seed, hyper):
+    for name, stream in _oracle_streams(seed).items():
+        got = train_linear(stream, ORACLE_VOCAB, WORDS, hyper)
+        want = _reference_train_linear(stream, ORACLE_VOCAB, WORDS, hyper)
+        assert np.array_equal(got.weights, want.weights), name
+        assert got.bias == want.bias, name
+        assert got.weights.any(), name
+
+
+def test_train_linear_empty_features_and_stream_match_oracle():
+    unk = make_comment(0, "ÄÖÜ", Label.SATD)
+    assert presence_features(ORACLE_VOCAB, WORDS[unk.text]) == ()
+    other = make_comment(1, "w03 w06", Label.NON_SATD)
+    for stream in ([], [_batch([unk, unk])], [_batch([unk, other, unk]), _batch([other])]):
+        got = train_linear(stream, ORACLE_VOCAB, WORDS)
+        want = _reference_train_linear(stream, ORACLE_VOCAB, WORDS)
+        assert np.array_equal(got.weights, want.weights)
+        assert got.bias == want.bias
 
 
 def test_empty_stream_keeps_zero_state():

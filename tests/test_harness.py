@@ -91,6 +91,12 @@ def test_config_validation():
         build_config(overrides={"manifest": "m", "batch_size": "1"})
     with pytest.raises(ConfigError, match="target_ratio must be >= 1"):
         build_config(overrides={"manifest": "m", "target_ratio": "0.5"})
+    # non-finite floats: a nan target_ratio would never rebalance a batch,
+    # and a nan or inf learning rate would only surface as a non-finite loss
+    for key in ("learning_rate", "l2", "target_ratio"):
+        for value in ("nan", "inf"):
+            with pytest.raises(ConfigError, match=f"{key} must be >= .* and finite"):
+                build_config(overrides={"manifest": "m", key: value})
 
 
 def test_config_digest_ignores_outdir():

@@ -7,11 +7,13 @@ from helpers import (
     coverage_base_vocab,
     coverage_collection,
     coverage_random_comment,
+    coverage_word,
     make_comment,
 )
 from satdkit.corpus import CorpusCollection, Label, ProjectDataset
 from satdkit.errors import DataError
 from satdkit.vocab import (
+    _word_piece_ids,
     CandidateToken,
     Vocabulary,
     WordCache,
@@ -193,6 +195,51 @@ def test_tokenize_dead_end_is_whole_word_unk():
     vocab = toy_vocab("ab", "a", "##b")
     seq = tokenize(vocab, WORDS["abc"])
     assert [vocab.tokens[i] for i in seq.ids] == ["[CLS]", "[UNK]", "[SEP]"]
+
+
+def test_word_piece_memo_is_per_vocabulary():
+    # the two vocabularies differ only by one appended candidate, so a memo
+    # keyed on the word alone would hand one the other's pieces
+    base = coverage_base_vocab()
+    grown = augment_vocabulary(base, [CandidateToken("bad", 3, 0.5)])
+    pieces = ["[CLS]", "b", "##a", "##d", "[SEP]"]
+    for _ in range(2):
+        assert [base.tokens[i] for i in tokenize(base, ["bad"]).ids] == pieces
+        assert [grown.tokens[i] for i in tokenize(grown, ["bad"]).ids] == [
+            "[CLS]", "bad", "[SEP]"
+        ]
+    assert base.pieces["bad"] != grown.pieces["bad"]
+    assert base == Vocabulary.from_tokens(base.tokens)  # the memo is not compared
+
+
+def test_memoized_long_word_stays_one_unk():
+    vocab = char_base_vocabulary("x")
+    for _ in range(2):
+        assert tokenize(vocab, ["x" * 101, "x"]).ids == (
+            vocab.cls_id, vocab.unk_id, vocab.index["x"], vocab.sep_id
+        )
+    assert vocab.pieces["x" * 101] == (vocab.unk_id,)
+
+
+def test_memoized_tokenize_matches_fresh_word_pieces():
+    base = coverage_base_vocab()
+    vocab = augment_vocabulary(
+        base, [CandidateToken(w, 3, 0.5) for w in ("ab", "xyz", "hex", "gag")]
+    )
+    rng = random.Random(1234)
+    words = [coverage_word(rng, 1, 8) for _ in range(3000)]
+    words += ["a" * 100, "a" * 101, "xyz" * 40]
+    for _ in range(2):  # the second pass reads every word from the memo
+        for word in words:
+            fresh = _word_piece_ids(vocab, word)
+            expected = (vocab.unk_id,) if fresh is None else tuple(fresh)
+            assert tokenize(vocab, [word], max_seq_len=256).ids[1:-1] == expected
+    for start in range(0, len(words), 7):
+        chunk = words[start:start + 7]
+        expected = []
+        for word in chunk:
+            expected.extend(_word_piece_ids(vocab, word) or [vocab.unk_id])
+        assert list(tokenize(vocab, chunk, max_seq_len=1024).ids[1:-1]) == expected
 
 
 def test_tokenize_truncation_keeps_cls_sep():
