@@ -38,7 +38,7 @@ cfg = SamplerConfig(seed=42, batch_size=32, trigger_prob=0.10, target_ratio=3.0,
 
 n = n_adjusted = n_zero_minority_plain = 0
 worst_ratio_ok = True
-for plain, resampled in zip(plain_batches(train, cfg), fmr_batches(train, pool, cfg)):
+for plain, resampled in zip(plain_batches(train, cfg), fmr_batches(train, cfg)):
     n += 1
     n_zero_minority_plain += plain.label_counts()[0] == 0
     if resampled.adjusted:
@@ -63,6 +63,6 @@ print(f"  original : id={original.id}  {original.text!r}")
 print(f"  duplicate: id={duplicate.id}  {duplicate.text!r} (origin_id={duplicate.origin_id})")
 
 print("\none exported JSONL batch line (the external-trainer wire format):")
-first = next(iter(fmr_batches(train, pool, cfg)))
+first = next(iter(fmr_batches(train, cfg)))
 line = json.dumps(batch_record(first))
 print(f"  {line[:120]}...")

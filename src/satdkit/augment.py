@@ -119,20 +119,17 @@ def rebalance_items(
     return tuple(out)
 
 
-def fmr_batches(
-    train: list[Comment], satd_pool: list[Comment], cfg: SamplerConfig
-) -> Iterator[Batch]:
+def fmr_batches(train: list[Comment], cfg: SamplerConfig) -> Iterator[Batch]:
     """Plain stream with forced minority re-sampling applied per batch.
 
     An independent seeded coin with probability ``trigger_prob`` decides
     whether a batch is adjusted; unadjusted batches pass through untouched
-    and are identical to the plain stream under the same seed.
+    and are identical to the plain stream under the same seed. Adjusted
+    batches draw from the SATD comments of ``train``, in train order.
     """
+    satd_pool = [c for c in train if c.label is Label.SATD]
     if not satd_pool:
         raise DataError("empty SATD pool")
-    for c in satd_pool:
-        if c.label is not Label.SATD:
-            raise DataError(f"SATD pool contains a non-SATD comment (id {c.id})")
     for batch in plain_batches(train, cfg):
         rng = seeded_rng(cfg.seed, _BATCH_STREAM, batch.epoch, batch.batch_index)
         if rng.random() < cfg.trigger_prob:

@@ -164,7 +164,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_export_batches(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    out = export_batches(config, path=args.out or config.export_path)
+    out = export_batches(config, path=args.out)
     manifest = json.loads((out / "export.json").read_text(encoding="utf-8"))
     print(f"exported {len(manifest['units'])} unit streams to {out}")
     return 0

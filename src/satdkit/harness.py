@@ -25,15 +25,18 @@ timestamps therefore go to the run log, never into the report.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import logging
 import math
 import os
 import secrets
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from types import UnionType
+from typing import Callable, Iterable, Iterator, get_args, get_origin, get_type_hints
 
 from .augment import (
     Batch,
@@ -81,8 +84,6 @@ AUGMENTATIONS = ("none", "fmr", "dup_fmr")
 CLASSIFIERS = ("linear", "mat_strict", "mat_fuzzy", "external")
 VOCAB_SCOPES = ("train", "all")
 DUP_SCOPES = ("triggered", "all")
-
-REPORT_FORMATS = ("csv", "markdown")
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +260,9 @@ class ProjectResult:
 
 @dataclass(frozen=True)
 class EvalReport:
+    """The ``eval-report@1`` schema, which the JSON writer and reader follow;
+    the ``average_*`` fields form one ``average`` object there."""
+
     scenario: str
     digest: str
     seed: int
@@ -269,93 +273,50 @@ class EvalReport:
     average_f1: float | None
 
 
-def _metrics_dict(m: MetricResult | None) -> dict | None:
-    if m is None:
-        return None
-    return {
-        "tp": m.tp, "fp": m.fp, "fn": m.fn, "tn": m.tn,
-        "precision": m.precision, "recall": m.recall, "f1": m.f1,
-    }
+REPORT_FORMAT = "eval-report@1"
+_SCORES = ("precision", "recall", "f1")
+# the JSON values read as each leaf annotation; a bool never counts as a number
+_JSON_LEAVES = {float: (int, float), int: (int,), str: (str,), dict: (dict,)}
 
 
 def report_to_dict(report: EvalReport) -> dict:
-    return {
-        "format": "eval-report@1",
-        "scenario": report.scenario,
-        "digest": report.digest,
-        "seed": report.seed,
-        "config": report.config,
-        "projects": [
-            {
-                "project": p.project,
-                "precision": p.precision,
-                "recall": p.recall,
-                "f1": p.f1,
-                "note": p.note,
-                "units": [
-                    {"unit": u.unit, "error": u.error, "metrics": _metrics_dict(u.metrics)}
-                    for u in p.units
-                ],
-            }
-            for p in report.projects
-        ],
-        "average": {
-            "precision": report.average_precision,
-            "recall": report.average_recall,
-            "f1": report.average_f1,
-        },
-    }
+    payload = asdict(report)
+    payload["average"] = {k: payload.pop(f"average_{k}") for k in _SCORES}
+    return {"format": REPORT_FORMAT, **payload}
 
 
-_SCORES = ("precision", "recall", "f1")
-_NUMBER = (int, float)
-
-
-def _typed(obj: dict, key: str, where: str, types: tuple[type, ...], nullable: bool = False):
-    """``obj[key]`` when it is an instance of ``types`` (never a bool), or
-    null when ``nullable``; otherwise a DataError naming its path."""
-    value = obj[key]
-    if (value is None and nullable) or (isinstance(value, types) and not isinstance(value, bool)):
+def _from_json(hint, value, path: str):
+    """``value`` read as the annotation ``hint`` (a dataclass from an object,
+    ``tuple[X, ...]`` from a list, ``X | None`` from null or X), or a DataError."""
+    optional = get_origin(hint) is UnionType
+    kind = get_args(hint)[0] if optional else hint
+    is_list = get_origin(kind) is tuple
+    if optional and value is None:
+        return None
+    if is_dataclass(kind) and isinstance(value, dict):
+        hints = get_type_hints(kind).items()
+        return kind(**{k: _from_json(h, value[k], f"{path}.{k}" if path else k) for k, h in hints})
+    if is_list and isinstance(value, (list, tuple)):
+        return tuple(_from_json(get_args(kind)[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if isinstance(value, _JSON_LEAVES.get(kind, ())) and not isinstance(value, bool):
         return value
-    expected = " or ".join(t.__name__ for t in types) + (" or null" if nullable else "")
-    raise DataError(f"{where}{key}: expected {expected}, got {value!r}")
+    name = "object" if is_dataclass(kind) else "list" if is_list else kind.__name__
+    raise DataError(f"{path}: expected {name}{' or null' if optional else ''}, got {value!r}")
 
 
 def report_from_dict(payload: dict) -> EvalReport:
-    if payload.get("format") != "eval-report@1":
+    if payload.get("format") != REPORT_FORMAT:
         raise DataError(f"unsupported report format {payload.get('format')!r}")
-    projects = []
-    for i, p in enumerate(payload["projects"]):
-        at = f"projects[{i}]."
-        units = []
-        for j, u in enumerate(p["units"]):
-            m = u["metrics"]
-            where = f"{at}units[{j}].metrics."
-            metrics = None if m is None else MetricResult(
-                **{k: _typed(m, k, where, (int,)) for k in ("tp", "fp", "fn", "tn")},
-                **{k: _typed(m, k, where, _NUMBER) for k in _SCORES},
-            )
-            unit = _typed(u, "unit", f"{at}units[{j}].", (str,))
-            units.append(UnitResult(unit=unit, metrics=metrics, error=u["error"]))
-        projects.append(
-            ProjectResult(
-                project=_typed(p, "project", at, (str,)), units=tuple(units),
-                **{k: _typed(p, k, at, _NUMBER, nullable=True) for k in _SCORES},
-                note=p.get("note"),
-            )
-        )
-    avg = payload["average"]
-    return EvalReport(
-        scenario=payload["scenario"], digest=payload["digest"], seed=payload["seed"],
-        config=_typed(payload, "config", "", (dict,)), projects=tuple(projects),
-        **{f"average_{k}": _typed(avg, k, "average.", _NUMBER, nullable=True) for k in _SCORES},
-    )
+    hints, flat, average = get_type_hints(EvalReport), dict(payload), payload["average"]
+    for k in _SCORES:
+        flat[f"average_{k}"] = _from_json(hints[f"average_{k}"], average[k], f"average.{k}")
+    return _from_json(EvalReport, flat, "")
 
 
 def report_to_json(report: EvalReport) -> str:
     """Canonical JSON for machine diffing; identical configs yield identical
     bytes (timestamps live in the run log, not here)."""
-    return json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
+    return _json_text(report_to_dict(report))
 
 
 def _fmt3(value: float | None) -> str:
@@ -365,15 +326,14 @@ def _fmt3(value: float | None) -> str:
 def render_csv(report: EvalReport) -> str:
     if not report.projects:
         raise RunError("nothing to render")
-    lines = ["project,precision,recall,f1"]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")  # quotes a name holding "," or '"'
+    writer.writerow(["project", *_SCORES])
     for p in report.projects:
-        lines.append(f"{p.project},{_fmt3(p.precision)},{_fmt3(p.recall)},{_fmt3(p.f1)}")
-    lines.append(
-        "Average,"
-        f"{_fmt3(report.average_precision)},{_fmt3(report.average_recall)},"
-        f"{_fmt3(report.average_f1)}"
-    )
-    return "\n".join(lines) + "\n"
+        writer.writerow([p.project, _fmt3(p.precision), _fmt3(p.recall), _fmt3(p.f1)])
+    averages = (report.average_precision, report.average_recall, report.average_f1)
+    writer.writerow(["Average", *map(_fmt3, averages)])
+    return out.getvalue()
 
 
 def render_markdown(report: EvalReport) -> str:
@@ -393,11 +353,8 @@ def render_markdown(report: EvalReport) -> str:
         "|---|---|---|---|",
     ]
     for p in report.projects:
-        marker = " *" if p.note else ""
-        lines.append(
-            f"| {p.project}{marker} | {_fmt3(p.precision)} | {_fmt3(p.recall)} "
-            f"| {_fmt3(p.f1)} |"
-        )
+        cell = p.project.replace("|", r"\|") + (" *" if p.note else "")
+        lines.append(f"| {cell} | {_fmt3(p.precision)} | {_fmt3(p.recall)} | {_fmt3(p.f1)} |")
     lines.append(
         f"| **Average** | {_fmt3(report.average_precision)} "
         f"| {_fmt3(report.average_recall)} | {_fmt3(report.average_f1)} |"
@@ -408,17 +365,21 @@ def render_markdown(report: EvalReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+_RENDERERS = {"csv": render_csv, "markdown": render_markdown}
+REPORT_FORMATS = tuple(_RENDERERS)
+
+
 def render_report(report: EvalReport, fmt: str, path: str | Path) -> Path:
     """Write the report in the requested format; returns the path written."""
-    if fmt == "csv":
-        text = render_csv(report)
-    elif fmt == "markdown":
-        text = render_markdown(report)
-    else:
+    if fmt not in _RENDERERS:
         raise ConfigError(f"format must be one of {'|'.join(REPORT_FORMATS)}, got {fmt!r}")
     path = Path(path)
-    _atomic_write(path, text)
+    _atomic_write(path, _RENDERERS[fmt](report))
     return path
+
+
+def _json_text(payload: object) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -567,21 +528,18 @@ def training_stream(
     """
     sampler = _sampler_config(config, spec.sampler_seed)
     train = list(spec.train)
+    if config.augmentation == "dup_fmr":
+        # duplicate ids must clear the held-out comments' id space too
+        id_floor: dict[str, int] = {}
+        for c in (*spec.train, *spec.test):
+            id_floor[c.project] = max(id_floor.get(c.project, 0), c.id + 1)
+        train, n_dup = dup_augment(
+            train, _resolve_dup_lexicon(config), scope=config.dup_scope, id_floor=id_floor
+        )
+        log.debug("%s/%s: %d duplicates appended", spec.project, spec.unit, n_dup)
     if config.augmentation == "none":
         return plain_batches(train, sampler), train
-    if config.augmentation == "fmr":
-        pool = [c for c in train if c.label is Label.SATD]
-        return fmr_batches(train, pool, sampler), train
-    # duplicate ids must clear the held-out comments' id space too
-    id_floor: dict[str, int] = {}
-    for c in (*spec.train, *spec.test):
-        id_floor[c.project] = max(id_floor.get(c.project, 0), c.id + 1)
-    augmented, n_dup = dup_augment(
-        train, _resolve_dup_lexicon(config), scope=config.dup_scope, id_floor=id_floor
-    )
-    log.debug("%s/%s: %d duplicates appended", spec.project, spec.unit, n_dup)
-    pool = [c for c in augmented if c.label is Label.SATD]
-    return fmr_batches(augmented, pool, sampler), augmented
+    return fmr_batches(train, sampler), train
 
 
 def vocabulary_candidates(
@@ -724,11 +682,7 @@ def run_experiment(
 # External-trainer bridge
 # ---------------------------------------------------------------------------
 
-def export_batches(
-    config: ExperimentConfig,
-    path: str | Path | None = None,
-    collection: CorpusCollection | None = None,
-) -> Path:
+def export_batches(config: ExperimentConfig, path: str | Path | None = None) -> Path:
     """Write every unit's seeded post-augmentation batch stream as JSONL,
     plus the split definitions an external trainer must honor.
 
@@ -739,9 +693,7 @@ def export_batches(
     out = Path(path) if path is not None else Path(config.export_path or "")
     if str(out) in ("", "."):
         raise ConfigError("export path is required")
-    if collection is None:
-        collection = load_config_collection(config)
-    specs, folds_payload = build_unit_specs(config, collection)
+    specs, folds_payload = build_unit_specs(config, load_config_collection(config))
     out.mkdir(parents=True, exist_ok=True)
     (out / "batches").mkdir(exist_ok=True)
     units_meta = []
@@ -772,8 +724,8 @@ def export_batches(
         "seed": config.seed,
         "units": units_meta,
     }
-    _atomic_write(out / "export.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    _atomic_write(out / "folds.json", json.dumps(folds_payload, sort_keys=True, indent=2) + "\n")
+    _atomic_write(out / "export.json", _json_text(manifest))
+    _atomic_write(out / "folds.json", _json_text(folds_payload))
     return out
 
 
@@ -866,9 +818,7 @@ def execute_run(config: ExperimentConfig) -> Path:
         _atomic_write(run_dir / "report.json", report_to_json(report))
         _atomic_write(run_dir / "report.csv", render_csv(report))
         _atomic_write(run_dir / "report.md", render_markdown(report))
-        _atomic_write(
-            run_dir / "folds.json", json.dumps(folds_payload, sort_keys=True, indent=2) + "\n"
-        )
+        _atomic_write(run_dir / "folds.json", _json_text(folds_payload))
         log.info("run finished: outputs in %s", run_dir)
     finally:
         pkg_logger.removeHandler(handler)

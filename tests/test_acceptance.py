@@ -103,13 +103,12 @@ def test_criterion_02_fmr_statistical_contract():
                          Label.SATD if i < 60 else Label.NON_SATD)
             for i in range(2000)
         ]
-        pool = [c for c in train if c.label is Label.SATD]
         per_epoch = (len(train) + 31) // 32
         epochs = (20_000 + per_epoch - 1) // per_epoch
         cfg = SamplerConfig(seed=99, batch_size=32, trigger_prob=0.10,
                             target_ratio=3.0, epochs=epochs)
         n = n_adjusted = 0
-        for plain, fmr in zip(plain_batches(train, cfg), fmr_batches(train, pool, cfg)):
+        for plain, fmr in zip(plain_batches(train, cfg), fmr_batches(train, cfg)):
             if n >= 20_000:
                 break
             n += 1
@@ -140,11 +139,10 @@ def test_criterion_03_fmr_arithmetic():
             make_comment(i, f"// c{i}", Label.SATD if i < 60 else Label.NON_SATD)
             for i in range(2000)
         ]
-        satd_pool = [c for c in train if c.label is Label.SATD]
         cfg = SamplerConfig(seed=5, batch_size=32, trigger_prob=1.0,
                             target_ratio=3.0, epochs=1)
         checked = 0
-        for plain, fmr in zip(plain_batches(train, cfg), fmr_batches(train, satd_pool, cfg)):
+        for plain, fmr in zip(plain_batches(train, cfg), fmr_batches(train, cfg)):
             if len(plain.items) < 32 or plain.label_counts()[0] != 0:
                 continue
             n_satd, n_non = fmr.label_counts()

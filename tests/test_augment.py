@@ -87,17 +87,15 @@ def test_rebalance_already_satisfied_unchanged():
 
 def test_fmr_zero_probability_identical_to_plain():
     train = _train(100, 10)
-    pool = [c for c in train if c.label is Label.SATD]
     cfg = SamplerConfig(seed=3, batch_size=16, trigger_prob=0.0, epochs=2)
-    assert list(fmr_batches(train, pool, cfg)) == list(plain_batches(train, cfg))
+    assert list(fmr_batches(train, cfg)) == list(plain_batches(train, cfg))
 
 
 def test_fmr_adjusted_batches_satisfy_ratio_and_size():
     train = _train(400, 12)
-    pool = [c for c in train if c.label is Label.SATD]
     cfg = SamplerConfig(seed=11, batch_size=32, trigger_prob=1.0, target_ratio=3.0, epochs=2)
     n_adjusted = 0
-    for plain, adjusted in zip(plain_batches(train, cfg), fmr_batches(train, pool, cfg)):
+    for plain, adjusted in zip(plain_batches(train, cfg), fmr_batches(train, cfg)):
         assert adjusted.adjusted
         n_adjusted += 1
         n_satd, n_non = adjusted.label_counts()
@@ -108,10 +106,9 @@ def test_fmr_adjusted_batches_satisfy_ratio_and_size():
 
 def test_fmr_unadjusted_identical_to_plain():
     train = _train(300, 9)
-    pool = [c for c in train if c.label is Label.SATD]
     cfg = SamplerConfig(seed=21, batch_size=32, trigger_prob=0.10, epochs=3)
     saw_both = {True: 0, False: 0}
-    for plain, fmr in zip(plain_batches(train, cfg), fmr_batches(train, pool, cfg)):
+    for plain, fmr in zip(plain_batches(train, cfg), fmr_batches(train, cfg)):
         saw_both[fmr.adjusted] += 1
         if not fmr.adjusted:
             assert fmr == plain
@@ -120,9 +117,8 @@ def test_fmr_unadjusted_identical_to_plain():
 
 def test_fmr_adjusted_fraction_near_probability():
     train = _train(600, 18)
-    pool = [c for c in train if c.label is Label.SATD]
     cfg = SamplerConfig(seed=8, batch_size=32, trigger_prob=0.10, epochs=110)
-    batches = list(fmr_batches(train, pool, cfg))
+    batches = list(fmr_batches(train, cfg))
     assert len(batches) >= 2000
     fraction = sum(b.adjusted for b in batches) / len(batches)
     assert 0.07 <= fraction <= 0.13
@@ -132,14 +128,17 @@ def test_fmr_empty_pool_rejected():
     train = _train(10, 0)
     cfg = SamplerConfig(seed=1, batch_size=4, epochs=1)
     with pytest.raises(DataError, match="empty SATD pool"):
-        list(fmr_batches(train, [], cfg))
+        list(fmr_batches(train, cfg))
 
 
 def test_fmr_pool_must_be_minority_only():
-    train = _train(10, 2)
-    cfg = SamplerConfig(seed=1, batch_size=4, epochs=1)
-    with pytest.raises(DataError, match="non-SATD"):
-        list(fmr_batches(train, train, cfg))
+    train = _train(200, 6)
+    cfg = SamplerConfig(seed=1, batch_size=16, trigger_prob=1.0, epochs=2)
+    gained = []
+    for plain, fmr in zip(plain_batches(train, cfg), fmr_batches(train, cfg)):
+        gained.extend(new for old, new in zip(plain.items, fmr.items) if new is not old)
+    assert gained
+    assert all(c.label is Label.SATD for c in gained)
 
 
 def test_sampler_config_validation():

@@ -121,15 +121,13 @@ def _oracle_streams(seed):
     train.append(make_comment(500, "ÄÖÜ éè ß", Label.SATD))  # all UNK: no features
     train.append(make_comment(501, "ÄÖÜ ñ", Label.NON_SATD))
     cfg = SamplerConfig(seed=seed, batch_size=8, trigger_prob=0.5, epochs=3)
-    pool = [c for c in train if c.label is Label.SATD]
     augmented, n_dup = dup_augment(train, dup_lexicon())
     assert n_dup > 0
-    dup_pool = [c for c in augmented if c.label is Label.SATD]
     repeated = _batch([train[0]] * 5 + [train[1], train[0], train[-2]], batch_index=99)
     return {
         "plain": list(plain_batches(train, cfg)),
-        "fmr": list(fmr_batches(train, pool, cfg)),
-        "dup_fmr": list(fmr_batches(augmented, dup_pool, cfg)) + [repeated],
+        "fmr": list(fmr_batches(train, cfg)),
+        "dup_fmr": list(fmr_batches(augmented, cfg)) + [repeated],
     }
 
 

@@ -182,10 +182,16 @@ UNIT = ("projects", 0, "units", 0)
     _mistyped("projects", 0, "project", 7),
     _mistyped(*UNIT, "unit", None),
     _mistyped("config", []),
+    _mistyped("seed", "0"),
+    _mistyped("scenario", 1),
+    _mistyped("digest", None),
+    _mistyped(*UNIT, "error", 5),
+    _mistyped("projects", 0, "note", 5),
 ], ids=["not_json", "no_projects", "not_object", "missing", "project_precision_str",
         "project_recall_bool", "project_f1_list", "average_f1_str", "average_precision_bool",
         "unit_tp_float", "unit_fn_bool", "unit_f1_str", "unit_recall_null", "project_name_int",
-        "unit_name_null", "config_list"])
+        "unit_name_null", "config_list", "seed_str", "scenario_int", "digest_null",
+        "unit_error_int", "project_note_int"])
 def test_report_rejects_malformed_report(tmp_path, capsys, content):
     source = tmp_path / "report.json"
     if content is not None:

@@ -1,4 +1,6 @@
+import csv
 import json
+import re
 
 import pytest
 
@@ -714,6 +716,51 @@ def test_report_round_trip():
     report = _report_fixture()
     assert report_from_dict(report_to_dict(report)) == report
     assert json.loads(report_to_json(report))["average"]["f1"] == 0.75
+
+
+@pytest.mark.parametrize("classifier", ["linear", "mat_strict", "external"])
+def test_report_json_round_trip(tmp_path, classifier):
+    # NoDebt has no SATD: it gets a note, and its linear fmr units fail (null scores)
+    manifest = write_corpus(tmp_path / "data", {
+        "Alpha": _mixed_rows(1, 60, 6),
+        "NoDebt": [(f"// plain comment {i}", Label.NON_SATD) for i in range(20)],
+    })
+    overrides = {
+        "manifest": str(manifest), "scenario": "intra", "k": "3", "seed": "5",
+        "augmentation": "fmr", "epochs": "1", "classifier": classifier,
+    }
+    if classifier == "external":
+        preds = tmp_path / "preds.jsonl"
+        linear = build_config(overrides={**overrides, "classifier": "linear"})
+        collection = load_config_collection(linear)
+        preds.write_text("".join(
+            json.dumps({"project": c.project, "id": c.id, "score": c.id % 5 / 4}) + "\n"
+            for ds in collection for c in ds.comments
+        ), encoding="utf-8")
+        overrides.update(export_path=str(tmp_path / "export"), predictions_path=str(preds))
+    report = run_experiment(build_config(overrides=overrides))
+    assert report_from_dict(json.loads(report_to_json(report))) == report
+
+
+def test_report_files_escape_project_names(tmp_path):
+    manifest = write_corpus(tmp_path / "data", {
+        "Apache,Ant": _mixed_rows(1, 40, 4),
+        'Say "hi"': _mixed_rows(2, 40, 4),
+        "Beta|x": _mixed_rows(3, 40, 4),
+    })
+    run_dir = execute_run(build_config(overrides={
+        "manifest": str(manifest), "scenario": "cross", "classifier": "mat_strict",
+        "outdir": str(tmp_path / "runs"),
+    }))
+    with (run_dir / "report.csv").open(encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert all(len(row) == 4 for row in rows)
+    assert [row[0] for row in rows] == ["project", "Apache,Ant", 'Say "hi"', "Beta|x", "Average"]
+    table = [line for line in (run_dir / "report.md").read_text(encoding="utf-8").splitlines()
+             if line.startswith("|")]
+    cells = [re.split(r"(?<!\\)\|", line)[1:-1] for line in table]
+    assert all(len(row) == 4 for row in cells)
+    assert cells[4][0].strip() == r"Beta\|x"
 
 
 # ---------------------------------------------------------------------------
