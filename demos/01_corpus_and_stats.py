@@ -11,7 +11,7 @@ import csv
 import tempfile
 from pathlib import Path
 
-from satdkit import LabelMapping, corpus_stats, format_stats_table, load_collection
+from satdkit import LabelMapping, format_stats_table, load_collection
 
 workdir = tempfile.TemporaryDirectory(prefix="satdkit-demo-")
 root = Path(workdir.name)
@@ -52,7 +52,7 @@ for raw in ("WITHOUT_CLASSIFICATION", "DESIGN", "DEFECT"):
     print(f"  {raw!r:28} -> {mapping.map(raw).name}")
 
 print("\nper-project statistics (note the rejected empty-text row):")
-print(format_stats_table(corpus_stats(collection)))
+print(format_stats_table(collection))
 frontend = collection.get("Frontend")
 print(f"\nFrontend kept {frontend.n_total} rows and rejected {frontend.n_rejected}.")
 print("Comment ids are 0-based row indices after rejection filtering:")

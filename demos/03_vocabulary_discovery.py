@@ -3,9 +3,9 @@
 A pretrained tokenizer knows English but not code-comment jargon, so
 corpus words missing from its vocabulary splinter into many pieces or
 become UNK. Discovery collects every word that appears in strictly more
-than 25% of the projects and is not already a whole-word base token; after
-an optional denylist pass the survivors are appended to the base
-vocabulary. Tokenization is greedy longest-prefix matching with "##"
+than 25% of the projects and is not already a base token (a whole word or
+a "##" continuation piece); after an optional denylist pass the survivors
+are appended to the base vocabulary. Tokenization is greedy longest-prefix matching with "##"
 continuations.
 """
 
@@ -40,7 +40,7 @@ for i in range(8):
         Comment(j, f"proj{i}", t, Label.NON_SATD, "WITHOUT_CLASSIFICATION")
         for j, t in enumerate(texts)
     ]
-    projects.append(ProjectDataset.from_comments(f"proj{i}", comments))
+    projects.append(ProjectDataset(f"proj{i}", comments))
 collection = CorpusCollection("demo", tuple(projects))
 
 base = char_base_vocabulary()  # stand-in base: specials + printable ASCII chars

@@ -23,7 +23,7 @@ comments = [
             "DESIGN" if i < 13 else "WITHOUT_CLASSIFICATION")
     for i in range(127)
 ]
-dataset = ProjectDataset.from_comments("Demo", comments)
+dataset = ProjectDataset("Demo", comments)
 print(f"project: {dataset.n_total} comments, {dataset.n_satd} minority "
       f"({100 * dataset.satd_fraction:.1f}%)\n")
 
@@ -36,7 +36,7 @@ for i, fold in enumerate(plan.folds):
 
 print("\nhold-one-out splits for a 4-project collection:")
 tiny = CorpusCollection("tiny", tuple(
-    ProjectDataset.from_comments(
+    ProjectDataset(
         name, [Comment(0, name, "// x", Label.SATD, "DESIGN")]
     )
     for name in ("A", "B", "C", "D")

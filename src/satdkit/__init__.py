@@ -28,14 +28,11 @@ from .classifier import (
     train_linear,
 )
 from .corpus import (
-    DATASET_G_PROJECTS,
-    DATASET_M_PROJECTS,
     Comment,
     CorpusCollection,
     Label,
     LabelMapping,
     ProjectDataset,
-    corpus_stats,
     format_stats_table,
     load_collection,
     load_label_mapping,
@@ -90,8 +87,7 @@ __all__ = [
     "rebalance_items", "write_batches_jsonl",
     "LinearHyper", "LinearModelState", "mat_score", "predict_linear",
     "presence_features", "train_linear",
-    "DATASET_G_PROJECTS", "DATASET_M_PROJECTS", "Comment", "CorpusCollection",
-    "Label", "LabelMapping", "ProjectDataset", "corpus_stats",
+    "Comment", "CorpusCollection", "Label", "LabelMapping", "ProjectDataset",
     "format_stats_table", "load_collection", "load_label_mapping", "load_project",
     "ConfigError", "DataError", "RunError", "SatdkitError",
     "FoldPlan", "MetricResult", "MtoSplit", "compute_metrics", "mto_splits",

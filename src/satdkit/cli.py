@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .corpus import corpus_stats, format_stats_table
+from .corpus import format_stats_table
 from .errors import ConfigError, DataError, RunError, SatdkitError
 from .harness import (
     CONFIG_KEYS,
@@ -120,9 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    collection = load_config_collection(config)
-    stats = corpus_stats(collection)
-    print(format_stats_table(stats))
+    print(format_stats_table(load_config_collection(config)))
     return 0
 
 
@@ -186,8 +184,8 @@ def cmd_import_predictions(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     try:
         report = report_from_dict(json.loads(Path(args.report).read_text(encoding="utf-8")))
-    except (DataError, OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
-        raise DataError(f"{args.report}: not a readable report ({exc!r})") from None
+    except (DataError, OSError, ValueError) as exc:
+        raise DataError(f"{args.report}: not a readable report ({exc})") from None
     out = render_report(report, args.format, args.out)
     print(f"wrote {out}")
     return 0

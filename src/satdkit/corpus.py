@@ -23,17 +23,6 @@ log = logging.getLogger(__name__)
 
 CSV_HEADER = ("project", "comment", "raw_label")
 
-# The two standard 10-project collections used by the public comment datasets.
-DATASET_M_PROJECTS = (
-    "ApacheAnt", "ArgoUML", "Columba", "EMF", "Hibernate",
-    "JEdit", "JFreeChart", "JMeter", "JRuby", "SQuirrel",
-)
-DATASET_G_PROJECTS = (
-    "Dubbo", "Gradle", "Groovy", "Hive", "Maven",
-    "Poi", "SpringFramework", "Storm", "Tomcat", "Zookeeper",
-)
-
-
 def strip_comment(line: str) -> str:
     """The line without its comment, trimmed. A ``#`` at the start of the
     line or after whitespace begins a comment; any other ``#`` is data."""
@@ -130,28 +119,28 @@ def load_label_mapping(path: str | Path) -> LabelMapping:
 
 @dataclass(frozen=True)
 class ProjectDataset:
-    """All comments of one project, in file order, with class counts."""
+    """All comments of one project, in file order; its counts derive from them."""
 
     project: str
     comments: tuple[Comment, ...]
-    n_total: int
-    n_satd: int
     n_rejected: int = 0
 
-    @classmethod
-    def from_comments(
-        cls, project: str, comments: list[Comment] | tuple[Comment, ...], n_rejected: int = 0
-    ) -> "ProjectDataset":
-        comments = tuple(comments)
-        ids = [c.id for c in comments]
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "comments", tuple(self.comments))
+        ids = [c.id for c in self.comments]
         if len(set(ids)) != len(ids):
-            raise ValueError(f"{project}: duplicate comment ids")
-        for c in comments:
-            if c.project != project:
-                raise ValueError(f"comment {c.id} belongs to {c.project!r}, not {project!r}")
-        n_satd = sum(1 for c in comments if c.label is Label.SATD)
-        return cls(project=project, comments=comments, n_total=len(comments),
-                   n_satd=n_satd, n_rejected=n_rejected)
+            raise ValueError(f"{self.project}: duplicate comment ids")
+        for c in self.comments:
+            if c.project != self.project:
+                raise ValueError(f"comment {c.id} belongs to {c.project!r}, not {self.project!r}")
+
+    @property
+    def n_total(self) -> int:
+        return len(self.comments)
+
+    @property
+    def n_satd(self) -> int:
+        return sum(1 for c in self.comments if c.label is Label.SATD)
 
     @property
     def satd_fraction(self) -> float:
@@ -233,7 +222,7 @@ def load_project(path: str | Path, mapping: LabelMapping, project_name: str) -> 
         raise DataError(f"{path}: no rows")
     if not comments:
         raise DataError(f"{path}: no usable rows ({n_rejected} rejected)")
-    return ProjectDataset.from_comments(project_name, comments, n_rejected=n_rejected)
+    return ProjectDataset(project_name, tuple(comments), n_rejected=n_rejected)
 
 
 def parse_manifest(path: str | Path) -> list[tuple[str, Path]]:
@@ -281,49 +270,18 @@ def load_collection(
     return CorpusCollection(name=name or manifest.stem, projects=tuple(datasets))
 
 
-@dataclass(frozen=True)
-class ProjectStats:
-    project: str
-    n_total: int
-    n_satd: int
-    satd_pct: float
-
-
-@dataclass(frozen=True)
-class CollectionStats:
-    per_project: tuple[ProjectStats, ...]
-    totals: ProjectStats
-
-
-def corpus_stats(collection: CorpusCollection) -> CollectionStats:
-    """Per-project totals, SATD counts, and SATD percentage, plus a totals row.
-
-    Percentages are kept at full precision here; rendering rounds to 2
-    decimals.
-    """
+def format_stats_table(collection: CorpusCollection) -> str:
+    """Per-project comment and SATD counts and SATD percentage, plus a totals
+    row named after the collection, as a fixed-width text table with
+    percentages rounded to 2 decimals."""
     if not collection.projects:
         raise DataError("empty collection")
-    rows = []
-    for ds in collection.projects:
-        pct = 100.0 * ds.n_satd / ds.n_total if ds.n_total else 0.0
-        rows.append(ProjectStats(ds.project, ds.n_total, ds.n_satd, pct))
-    n_total = sum(r.n_total for r in rows)
-    n_satd = sum(r.n_satd for r in rows)
-    totals = ProjectStats(
-        collection.name, n_total, n_satd, 100.0 * n_satd / n_total if n_total else 0.0
-    )
-    return CollectionStats(per_project=tuple(rows), totals=totals)
-
-
-def format_stats_table(stats: CollectionStats) -> str:
-    """Fixed-width text table with percentages rounded to 2 decimals."""
-    rows = [("project", "n_total", "n_satd", "satd_pct")]
-    for r in (*stats.per_project, stats.totals):
-        rows.append((r.project, str(r.n_total), str(r.n_satd), f"{r.satd_pct:.2f}"))
-    widths = [max(len(row[i]) for row in rows) for i in range(4)]
-    lines = []
-    for i, row in enumerate(rows):
-        lines.append("  ".join(cell.ljust(widths[j]) for j, cell in enumerate(row)).rstrip())
-        if i == 0 or i == len(rows) - 2:
-            lines.append("  ".join("-" * widths[j] for j in range(4)))
-    return "\n".join(lines)
+    counts = [(ds.project, ds.n_total, ds.n_satd) for ds in collection]
+    counts.append((collection.name, sum(c[1] for c in counts), sum(c[2] for c in counts)))
+    rows = [("project", "n_total", "n_satd", "satd_pct")] + [
+        (name, str(n), str(k), f"{100.0 * k / n if n else 0.0:.2f}") for name, n, k in counts
+    ]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
+    rule = "  ".join("-" * w for w in widths)
+    return "\n".join([lines[0], rule, *lines[1:-1], rule, lines[-1]])

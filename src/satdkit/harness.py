@@ -32,8 +32,10 @@ import json
 import logging
 import math
 import os
+import reprlib
 import secrets
 from dataclasses import asdict, dataclass, fields, is_dataclass
+from functools import cache
 from pathlib import Path
 from types import UnionType
 from typing import Callable, Iterable, Iterator, get_args, get_origin, get_type_hints
@@ -285,6 +287,19 @@ def report_to_dict(report: EvalReport) -> dict:
     return {"format": REPORT_FORMAT, **payload}
 
 
+@cache
+def _hints(kind) -> tuple:
+    return tuple(get_type_hints(kind).items())
+
+
+def _member(obj: dict, key: str, path: str):
+    """``(obj[key], its path)``, or a DataError naming the missing path."""
+    path = f"{path}.{key}" if path else key
+    if key not in obj:
+        raise DataError(f"{path}: missing")
+    return obj[key], path
+
+
 def _from_json(hint, value, path: str):
     """``value`` read as the annotation ``hint`` (a dataclass from an object,
     ``tuple[X, ...]`` from a list, ``X | None`` from null or X), or a DataError."""
@@ -294,22 +309,26 @@ def _from_json(hint, value, path: str):
     if optional and value is None:
         return None
     if is_dataclass(kind) and isinstance(value, dict):
-        hints = get_type_hints(kind).items()
-        return kind(**{k: _from_json(h, value[k], f"{path}.{k}" if path else k) for k, h in hints})
+        return kind(**{k: _from_json(h, *_member(value, k, path)) for k, h in _hints(kind)})
     if is_list and isinstance(value, (list, tuple)):
         return tuple(_from_json(get_args(kind)[0], v, f"{path}[{i}]") for i, v in enumerate(value))
     if isinstance(value, _JSON_LEAVES.get(kind, ())) and not isinstance(value, bool):
+        if kind is float and not math.isfinite(value):
+            raise DataError(f"{path}: expected a finite number, got {value!r}")
         return value
-    name = "object" if is_dataclass(kind) else "list" if is_list else kind.__name__
-    raise DataError(f"{path}: expected {name}{' or null' if optional else ''}, got {value!r}")
+    name = "object" if is_dataclass(kind) or kind is dict else "list" if is_list else kind.__name__
+    raise DataError(f"{path}: expected {name}{' or null' * optional}, got {reprlib.repr(value)}")
 
 
-def report_from_dict(payload: dict) -> EvalReport:
+def report_from_dict(payload: object) -> EvalReport:
+    if not isinstance(payload, dict):
+        raise DataError(f"expected a report object, got {type(payload).__name__}")
     if payload.get("format") != REPORT_FORMAT:
         raise DataError(f"unsupported report format {payload.get('format')!r}")
-    hints, flat, average = get_type_hints(EvalReport), dict(payload), payload["average"]
+    flat, hints = dict(payload), dict(_hints(EvalReport))
+    average = _from_json(dict, *_member(payload, "average", ""))
     for k in _SCORES:
-        flat[f"average_{k}"] = _from_json(hints[f"average_{k}"], average[k], f"average.{k}")
+        flat[f"average_{k}"] = _from_json(hints[f"average_{k}"], *_member(average, k, "average"))
     return _from_json(EvalReport, flat, "")
 
 
@@ -690,9 +709,10 @@ def export_batches(config: ExperimentConfig, path: str | Path | None = None) -> 
     ``folds.json``, and one ``batches/...jsonl`` file per unit.
     """
     config.validate()
-    out = Path(path) if path is not None else Path(config.export_path or "")
-    if str(out) in ("", "."):
+    target = config.export_path if path is None else path
+    if not target:
         raise ConfigError("export path is required")
+    out = Path(target)
     specs, folds_payload = build_unit_specs(config, load_config_collection(config))
     out.mkdir(parents=True, exist_ok=True)
     (out / "batches").mkdir(exist_ok=True)

@@ -2,11 +2,11 @@
 
 The vocabulary starts from a base token file (one token per line, line
 number = id) and is augmented with domain words discovered in a corpus:
-a word qualifies as a candidate when it is not already a whole-word token
-in the base vocabulary and appears in strictly more than a threshold
-fraction (default 25%) of the corpus projects. A hand-maintained denylist
-file removes flawed extractions before the survivors are appended to the
-base vocabulary.
+a word qualifies as a candidate when it is not already a token of the
+base vocabulary (whole-word or ``##`` continuation piece) and appears in
+strictly more than a threshold fraction (default 25%) of the corpus
+projects. A hand-maintained denylist file removes flawed extractions before
+the survivors are appended to the base vocabulary.
 
 Tokenization is the standard greedy longest-prefix scheme: non-initial
 pieces carry the ``##`` continuation marker, a word with no matching prefix
@@ -87,10 +87,6 @@ class Vocabulary:
     def special_ids(self) -> frozenset[int]:
         return frozenset(self.index[s] for s in SPECIALS)
 
-    def is_whole_word(self, word: str) -> bool:
-        """True when the word itself is an initial-position token."""
-        return word in self.index and not word.startswith(CONTINUATION_PREFIX)
-
 
 @dataclass(frozen=True)
 class CandidateToken:
@@ -165,8 +161,9 @@ def discover_candidate_tokens(
 ) -> list[CandidateToken]:
     """Find corpus words worth adding to the base vocabulary.
 
-    A word is a candidate iff it is not already a whole-word base token and
-    occurs in strictly more than ``threshold`` of the per-project word sets.
+    A word is a candidate iff it is not already a base token (a word such as
+    ``##1`` may equal a continuation piece) and occurs in strictly more than
+    ``threshold`` of the per-project word sets.
     Reserved symbol words like "//" participate like any other word. Output
     is sorted by descending project count, ties broken lexicographically.
     """
@@ -179,7 +176,7 @@ def discover_candidate_tokens(
     candidates = [
         CandidateToken(token=word, project_count=n, project_fraction=n / total)
         for word, n in counts.items()
-        if n > threshold * total and not base.is_whole_word(word)
+        if n > threshold * total and word not in base.index
     ]
     candidates.sort(key=lambda c: (-c.project_count, c.token))
     return candidates

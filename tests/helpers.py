@@ -121,7 +121,7 @@ def coverage_collection(seed=5, n_projects=8, n_shared=30, comments_per_project=
             words = [rng.choice(shared) for _ in range(rng.randint(3, 8))]
             words.extend(coverage_word(rng) for _ in range(rng.randint(0, 2)))
             comments.append(make_comment(i, " ".join(words), Label.NON_SATD, project=name))
-        datasets.append(ProjectDataset.from_comments(name, comments))
+        datasets.append(ProjectDataset(name, comments))
     return CorpusCollection("coverage", tuple(datasets))
 
 

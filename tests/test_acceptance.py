@@ -38,7 +38,6 @@ from satdkit.corpus import (
     Label,
     LabelMapping,
     ProjectDataset,
-    corpus_stats,
     load_collection,
 )
 from satdkit.evalkit import compute_metrics, stratified_kfold
@@ -206,7 +205,7 @@ def test_criterion_05_stratification():
             comments = [
                 make_comment(i, f"c{i}", label) for i, label in enumerate(labels)
             ]
-            ds = ProjectDataset.from_comments("P", comments)
+            ds = ProjectDataset("P", comments)
             plan = stratified_kfold(ds, k=10, seed=rng.randint(0, 10**9))
             assigned = [cid for fold in plan.folds for cid in fold]
             assert sorted(assigned) == list(range(n_total))
@@ -289,7 +288,7 @@ def test_criterion_08_vocabulary_threshold():
                 make_comment(j, t, Label.NON_SATD, project=f"p{i}")
                 for j, t in enumerate(texts)
             ]
-            projects.append(ProjectDataset.from_comments(f"p{i}", comments))
+            projects.append(ProjectDataset(f"p{i}", comments))
         collection = CorpusCollection("eight", tuple(projects))
         candidates = discover_candidate_tokens(collection_words(collection), base, 0.25)
         tokens = {c.token: c for c in candidates}
@@ -413,9 +412,8 @@ def test_criterion_11_real_corpus_stats():
     with criterion("11. real-corpus ingestion statistics"):
         started = time.monotonic()
         collection = load_collection(manifest, LabelMapping.standard())
-        stats = {row.project: row for row in corpus_stats(collection).per_project}
-        assert abs(stats["ArgoUML"].satd_pct - 17.86) <= 0.5
-        assert abs(stats["SpringFramework"].satd_pct - 1.27) <= 0.5
+        assert abs(100 * collection.get("ArgoUML").satd_fraction - 17.86) <= 0.5
+        assert abs(100 * collection.get("SpringFramework").satd_fraction - 1.27) <= 0.5
         base_vocab_path = os.environ.get("SATDKIT_BASE_VOCAB")
         if base_vocab_path:
             vocab = load_base_vocabulary(base_vocab_path)
@@ -442,11 +440,9 @@ CROSS_PROJECT_BEST_F1_DATASET_G = {
 def test_criterion_12_mat_fuzzy_band():
     manifest = _real_data_manifest()
     with criterion("12. keyword-baseline sanity band on the second collection"):
-        from satdkit.corpus import DATASET_G_PROJECTS
-
         config = build_config(overrides={
             "manifest": manifest, "scenario": "cross", "classifier": "mat_fuzzy",
-            "projects": ",".join(DATASET_G_PROJECTS), "seed": "1",
+            "projects": ",".join(CROSS_PROJECT_BEST_F1_DATASET_G), "seed": "1",
         })
         report = run_experiment(config)
         per_project = {p.project: p.f1 for p in report.projects}

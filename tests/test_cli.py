@@ -129,7 +129,8 @@ def test_report_rerender(tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == (run_dir / "report.csv").read_text(encoding="utf-8")
 
 
-# a well-formed report.json payload; _mistyped() breaks one value in a copy
+# a well-formed report.json payload; _mistyped() breaks one value in a copy,
+# or drops its key when the value is MISSING
 VALID_REPORT = {
     "format": "eval-report@1", "scenario": "intra", "digest": "d", "seed": 0,
     "config": {"classifier": "mat_strict", "augmentation": "none"},
@@ -143,13 +144,19 @@ VALID_REPORT = {
 }
 
 
+MISSING = object()
+
+
 def _mistyped(*path_and_value):
     *path, key, value = path_and_value
     report = json.loads(json.dumps(VALID_REPORT))
     target = report
     for step in path:
         target = target[step]
-    target[key] = value
+    if value is MISSING:
+        del target[key]
+    else:
+        target[key] = value
     return json.dumps(report)
 
 
@@ -187,11 +194,18 @@ UNIT = ("projects", 0, "units", 0)
     _mistyped("digest", None),
     _mistyped(*UNIT, "error", 5),
     _mistyped("projects", 0, "note", 5),
+    _mistyped(*UNIT, "metrics", "tn", MISSING),
+    _mistyped("average", MISSING),
+    _mistyped("average", None),
+    _mistyped("projects", 0, "f1", float("nan")),
+    _mistyped(*UNIT, "metrics", "recall", float("inf")),
+    _mistyped("average", "precision", float("-inf")),
 ], ids=["not_json", "no_projects", "not_object", "missing", "project_precision_str",
         "project_recall_bool", "project_f1_list", "average_f1_str", "average_precision_bool",
         "unit_tp_float", "unit_fn_bool", "unit_f1_str", "unit_recall_null", "project_name_int",
         "unit_name_null", "config_list", "seed_str", "scenario_int", "digest_null",
-        "unit_error_int", "project_note_int"])
+        "unit_error_int", "project_note_int", "unit_tn_missing", "average_missing",
+        "average_null", "project_f1_nan", "unit_recall_inf", "average_precision_neg_inf"])
 def test_report_rejects_malformed_report(tmp_path, capsys, content):
     source = tmp_path / "report.json"
     if content is not None:

@@ -9,7 +9,6 @@ from satdkit.corpus import (
     Label,
     LabelMapping,
     ProjectDataset,
-    corpus_stats,
     format_stats_table,
     load_collection,
     load_label_mapping,
@@ -197,23 +196,22 @@ def test_corpus_stats_values():
                     Label.SATD if i < n_satd else Label.NON_SATD, "x")
             for i in range(n_total)
         ]
-        return ProjectDataset.from_comments(name, comments)
+        return ProjectDataset(name, comments)
 
     collection = CorpusCollection("Demo", (project("A", 40, 5), project("B", 10, 0)))
-    stats = corpus_stats(collection)
-    assert stats.per_project[0].satd_pct == pytest.approx(12.5)
-    assert stats.per_project[1].satd_pct == 0.0
-    assert stats.totals.n_total == 50
-    assert stats.totals.n_satd == 5
-    table = format_stats_table(stats)
-    assert "12.50" in table
-    assert "0.00" in table
-    assert table.splitlines()[-1].startswith("Demo")
+    assert format_stats_table(collection).splitlines() == [
+        "project  n_total  n_satd  satd_pct",
+        "-------  -------  ------  --------",
+        "A        40       5       12.50",
+        "B        10       0       0.00",
+        "-------  -------  ------  --------",
+        "Demo     50       5       10.00",
+    ]
 
 
 def test_corpus_stats_empty_collection():
     with pytest.raises(DataError, match="empty"):
-        corpus_stats(CorpusCollection("Empty", ()))
+        format_stats_table(CorpusCollection("Empty", ()))
 
 
 def test_standard_mapping():
@@ -263,7 +261,22 @@ def test_comment_invariants():
         Comment(0, "P", "ok", "SATD", "x")  # type: ignore[arg-type]
 
 
+def test_project_dataset_counts_follow_comments():
+    comments = [Comment(0, "A", "x", Label.SATD, "r"), Comment(1, "A", "y", Label.NON_SATD, "r")]
+    ds = ProjectDataset("A", comments, n_rejected=3)
+    assert ds.comments == tuple(comments)
+    assert (ds.n_total, ds.n_satd, ds.satd_fraction, ds.n_rejected) == (2, 1, 0.5, 3)
+    assert ProjectDataset("A", ()).satd_fraction == 0.0
+
+
+def test_project_dataset_invariants():
+    with pytest.raises(ValueError, match="duplicate comment ids"):
+        ProjectDataset("A", [Comment(0, "A", "x", Label.SATD, "r")] * 2)
+    with pytest.raises(ValueError, match="belongs to 'B'"):
+        ProjectDataset("A", [Comment(0, "B", "x", Label.SATD, "r")])
+
+
 def test_collection_rejects_duplicate_names():
-    ds = ProjectDataset.from_comments("A", [Comment(0, "A", "x", Label.SATD, "r")])
+    ds = ProjectDataset("A", [Comment(0, "A", "x", Label.SATD, "r")])
     with pytest.raises(ValueError, match="duplicate"):
         CorpusCollection("C", (ds, ds))

@@ -24,7 +24,7 @@ def _dataset(n_total, n_satd, project="P", shuffle_seed=None):
         make_comment(i, f"comment {i}", label, project=project)
         for i, label in enumerate(labels)
     ]
-    return ProjectDataset.from_comments(project, comments)
+    return ProjectDataset(project, comments)
 
 
 def _fold_satd_count(dataset, fold):
@@ -83,7 +83,7 @@ def test_permuting_rows_changes_membership_not_counts():
     ds = _dataset(60, 6, shuffle_seed=None)
     permuted_comments = list(ds.comments)
     random.Random(8).shuffle(permuted_comments)
-    permuted = ProjectDataset.from_comments("P", permuted_comments)
+    permuted = ProjectDataset("P", permuted_comments)
     plan_a = stratified_kfold(ds, k=6, seed=99)
     plan_b = stratified_kfold(permuted, k=6, seed=99)
     assert plan_a.folds != plan_b.folds
@@ -95,7 +95,7 @@ def test_permuting_rows_changes_membership_not_counts():
 
 def test_mto_splits():
     projects = tuple(
-        ProjectDataset.from_comments(f"p{i}", [make_comment(0, "x", Label.SATD, project=f"p{i}")])
+        ProjectDataset(f"p{i}", [make_comment(0, "x", Label.SATD, project=f"p{i}")])
         for i in range(20)
     )
     collection = CorpusCollection("All-20", projects)
@@ -109,7 +109,7 @@ def test_mto_splits():
 
 def test_mto_splits_two_projects():
     projects = tuple(
-        ProjectDataset.from_comments(n, [make_comment(0, "x", Label.SATD, project=n)])
+        ProjectDataset(n, [make_comment(0, "x", Label.SATD, project=n)])
         for n in ("a", "b")
     )
     splits = mto_splits(CorpusCollection("pair", projects))
@@ -120,7 +120,7 @@ def test_mto_splits_two_projects():
 
 
 def test_mto_splits_single_project_rejected():
-    ds = ProjectDataset.from_comments("solo", [make_comment(0, "x", Label.SATD, project="solo")])
+    ds = ProjectDataset("solo", [make_comment(0, "x", Label.SATD, project="solo")])
     with pytest.raises(DataError, match="at least 2"):
         mto_splits(CorpusCollection("solo", (ds,)))
 

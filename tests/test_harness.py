@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -320,6 +321,20 @@ def test_failed_unit_recorded_not_fatal(tmp_path):
     assert len(succeeded) == 3
 
 
+def test_comment_word_equal_to_continuation_piece_trains(tmp_path):
+    # "###" equals the char base's continuation piece of "#"; it must not be
+    # discovered as a new token (which made augment_vocabulary fail the unit)
+    rows = planted_rows(7, 40, 4)
+    rows[0] = ("// ### Section: w11 w10", rows[0][1])
+    manifest = write_corpus(tmp_path, {"Planted": rows})
+    config = build_config(overrides={
+        "manifest": str(manifest), "scenario": "intra", "classifier": "linear",
+        "k": "2", "seed": "1", "epochs": "1",
+    })
+    units = run_experiment(config).projects[0].units
+    assert [u.error for u in units] == [None, None]
+
+
 def test_reproducible_byte_identical_outputs(tmp_path):
     manifest = write_planted_corpus(tmp_path / "data", n_total=200, n_satd=20, seed=9)
     overrides = {
@@ -461,6 +476,29 @@ def test_export_batch_line_count(tmp_path):
     lines = (out / unit["batches"]).read_text(encoding="utf-8").splitlines()
     assert len(lines) == 4
     assert [len(json.loads(line)["items"]) for line in lines] == [32, 32, 32, 4]
+
+
+@pytest.mark.parametrize("via_config", [False, True], ids=["argument", "export_path"])
+def test_export_to_current_directory(tmp_path, monkeypatch, via_config):
+    manifest = write_planted_corpus(tmp_path / "data", n_total=40, n_satd=4, seed=3)
+    overrides = {"manifest": str(manifest), "scenario": "intra", "k": "2", "epochs": "1"}
+    if via_config:
+        overrides["export_path"] = "."
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    out = export_batches(build_config(overrides=overrides), None if via_config else ".")
+    assert out == Path(".")
+    assert (work / "export.json").is_file()
+    assert len(json.loads((work / "export.json").read_text(encoding="utf-8"))["units"]) == 2
+
+
+def test_export_without_path_is_config_error(tmp_path):
+    manifest = write_planted_corpus(tmp_path / "data", n_total=40, n_satd=4, seed=3)
+    config = build_config(overrides={"manifest": str(manifest), "scenario": "intra", "k": "2"})
+    for path in (None, ""):
+        with pytest.raises(ConfigError, match="export path is required"):
+            export_batches(config, path)
 
 
 def test_export_zero_probability_never_adjusts(tmp_path):
@@ -716,6 +754,40 @@ def test_report_round_trip():
     report = _report_fixture()
     assert report_from_dict(report_to_dict(report)) == report
     assert json.loads(report_to_json(report))["average"]["f1"] == 0.75
+
+
+def _broken_report(edit):
+    payload = json.loads(report_to_json(_report_fixture()))
+    edit(payload)
+    return payload
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda r: r["projects"][1]["units"][0]["metrics"].pop("tn"),
+     "projects[1].units[0].metrics.tn: missing"),
+    (lambda r: r["projects"][0].pop("note"), "projects[0].note: missing"),
+    (lambda r: r.pop("average"), "average: missing"),
+    (lambda r: r.update(average=None), "average: expected object, got None"),
+    (lambda r: r["average"].pop("recall"), "average.recall: missing"),
+    (lambda r: r["average"].update(f1=float("nan")), "average.f1: expected a finite number"),
+    (lambda r: r["projects"][0].update(recall=float("inf")),
+     "projects[0].recall: expected a finite number"),
+    (lambda r: r["projects"][0]["units"][0]["metrics"].update(f1=float("-inf")),
+     "projects[0].units[0].metrics.f1: expected a finite number"),
+    (lambda r: r.update(projects={"P": list(range(1000))}),
+     "projects: expected list, got {'P': [0, 1, 2, 3, 4, 5, ...]}"),
+], ids=["unit_tn_missing", "project_note_missing", "average_missing", "average_null",
+        "average_recall_missing", "average_f1_nan", "project_recall_inf", "unit_f1_neg_inf",
+        "projects_object_shown_short"])
+def test_report_from_dict_names_the_bad_path(edit, message):
+    with pytest.raises(DataError) as excinfo:
+        report_from_dict(_broken_report(edit))
+    assert message in str(excinfo.value)
+
+
+def test_report_from_dict_rejects_non_object():
+    with pytest.raises(DataError, match="expected a report object, got list"):
+        report_from_dict([1, 2])
 
 
 @pytest.mark.parametrize("classifier", ["linear", "mat_strict", "external"])

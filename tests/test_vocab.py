@@ -37,7 +37,7 @@ def toy_vocab(*extra):
 
 def _project(name, texts):
     comments = [make_comment(i, t, Label.NON_SATD, project=name) for i, t in enumerate(texts)]
-    return ProjectDataset.from_comments(name, comments)
+    return ProjectDataset(name, comments)
 
 
 def test_load_base_vocabulary(tmp_path):
@@ -320,8 +320,17 @@ def test_vocabulary_validation():
         Vocabulary.from_tokens(SPECIALS + [""])
 
 
-def test_is_whole_word():
-    vocab = toy_vocab("fix", "##me")
-    assert vocab.is_whole_word("fix")
-    assert not vocab.is_whole_word("me")
-    assert not vocab.is_whole_word("##me")
+def test_discovery_skips_words_equal_to_continuation_pieces():
+    # "###" is the continuation piece of "#" in the char base, and "##1" the
+    # one of "1"; a word equal to any base token, whole or continuation, is
+    # no candidate, so augmentation cannot collide with the base.
+    base = char_base_vocabulary()
+    words = set(WORDS["// ### Section: ##1 grak"])
+    assert {"###", "##1"} <= words
+    candidates = discover_candidate_tokens([words, words], base, threshold=0.25)
+    assert [c.token for c in candidates] == ["//", "Section:", "grak"]
+    grown = augment_vocabulary(base, candidates)
+    assert grown.tokens[base.size:] == ("//", "Section:", "grak")
+    bert_like = toy_vocab("fix", "##me")
+    candidates = discover_candidate_tokens([{"##me", "me", "fix"}], bert_like, threshold=0.25)
+    assert [c.token for c in candidates] == ["me"]
