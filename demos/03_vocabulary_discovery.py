@@ -18,10 +18,10 @@ from satdkit import (
     Label,
     ProjectDataset,
     WordCache,
-    apply_denylist,
     augment_vocabulary,
     char_base_vocabulary,
     discover_candidate_tokens,
+    load_denylist,
     split_identifiers,
     tokenize,
 )
@@ -58,7 +58,8 @@ assert all(c.token != "rarity" for c in candidates), "1 of 8 is under the bar"
 workdir = tempfile.TemporaryDirectory(prefix="satdkit-demo-")
 denylist = Path(workdir.name) / "denylist.txt"
 denylist.write_text("ns\n", encoding="utf-8")
-finals = apply_denylist(candidates, denylist)
+denied = load_denylist(denylist)  # read once, then a set lookup per candidate
+finals = [c for c in candidates if c.token not in denied]
 print(f"\nafter denylisting 'ns': {len(candidates)} -> {len(finals)} candidates")
 
 vocab = augment_vocabulary(base, finals)

@@ -17,7 +17,7 @@ import random
 import tempfile
 from pathlib import Path
 
-from satdkit import build_config, run_experiment
+from satdkit import build_config, prepare_run, run_experiment
 from satdkit.harness import render_csv
 
 TRIGGERS = ["todo", "fixme", "hack", "xxx", "ugly"]
@@ -53,7 +53,7 @@ for augmentation in ("none", "fmr", "dup_fmr"):
         "augmentation": augmentation,
         "seed": "11",
     })
-    report = run_experiment(config)
+    report = run_experiment(prepare_run(config))
     project = report.projects[0]
     print(f"augmentation={augmentation:8}  digest={report.digest}  "
           f"mean-of-folds F1={project.f1:.4f}")

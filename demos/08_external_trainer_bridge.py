@@ -17,7 +17,7 @@ import random
 import tempfile
 from pathlib import Path
 
-from satdkit import build_config, export_batches, run_experiment
+from satdkit import build_config, export_batches, prepare_run, run_experiment
 
 rng = random.Random(3)
 workdir = tempfile.TemporaryDirectory(prefix="satdkit-demo-")
@@ -84,7 +84,7 @@ with predictions_path.open("w", encoding="utf-8") as fh:
 print(f"\nwrote {len(seen)} predictions to {predictions_path}")
 
 # step 3: the harness imports the scores and evaluates them like any model
-report = run_experiment(config)
+report = run_experiment(prepare_run(config))
 print(f"external classifier report: mean-of-folds F1 = {report.projects[0].f1:.3f}")
 print("(1.000 expected: the rule matches the planted pattern exactly)")
 

@@ -55,6 +55,7 @@ from .harness import (
     execute_run,
     export_batches,
     import_predictions,
+    prepare_run,
     render_report,
     run_experiment,
 )
@@ -72,11 +73,11 @@ from .vocab import (
     TokenSequence,
     Vocabulary,
     WordCache,
-    apply_denylist,
     augment_vocabulary,
     char_base_vocabulary,
     discover_candidate_tokens,
     load_base_vocabulary,
+    load_denylist,
     save_vocabulary,
     tokenize,
 )
@@ -93,12 +94,12 @@ __all__ = [
     "FoldPlan", "MetricResult", "MtoSplit", "compute_metrics", "mto_splits",
     "stratified_kfold",
     "EvalReport", "ExperimentConfig", "build_config", "build_vocabulary",
-    "execute_run", "export_batches", "import_predictions", "render_report",
-    "run_experiment",
+    "execute_run", "export_batches", "import_predictions", "prepare_run",
+    "render_report", "run_experiment",
     "TriggerLexicon", "dup_lexicon", "find_triggers", "load_lexicon",
     "mat_lexicon", "remove_triggers",
     "segment_words", "split_identifiers",
-    "CandidateToken", "TokenSequence", "Vocabulary", "WordCache", "apply_denylist",
-    "augment_vocabulary", "char_base_vocabulary", "discover_candidate_tokens",
-    "load_base_vocabulary", "save_vocabulary", "tokenize",
+    "CandidateToken", "TokenSequence", "Vocabulary", "WordCache", "augment_vocabulary",
+    "char_base_vocabulary", "discover_candidate_tokens", "load_base_vocabulary",
+    "load_denylist", "save_vocabulary", "tokenize",
 ]

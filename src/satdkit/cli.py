@@ -23,11 +23,11 @@ from .harness import (
     REPORT_FORMATS,
     ExperimentConfig,
     build_config,
-    build_unit_specs,
     execute_run,
     export_batches,
     import_predictions,
     load_config_collection,
+    prepare_run,
     render_report,
     report_from_dict,
     vocabulary_candidates,
@@ -125,16 +125,15 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_vocab_build(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    collection = load_config_collection(config)
-    project_words = WordCache().project_words(c for ds in collection for c in ds.comments)
-    base, candidates, n_denied = vocabulary_candidates(config, project_words)
-    vocab = augment_vocabulary(base, candidates)
+    run = prepare_run(_config_from_args(args))
+    project_words = WordCache().project_words(c for ds in run.collection for c in ds.comments)
+    candidates, n_denied = vocabulary_candidates(run, project_words)
+    vocab = augment_vocabulary(run.base, candidates)
     save_vocabulary(vocab, args.out)
     if args.candidates_csv:
         write_candidate_report(candidates, args.candidates_csv)
     print(
-        f"base {base.size} tokens + {len(candidates)} discovered "
+        f"base {run.base.size} tokens + {len(candidates)} discovered "
         f"({n_denied} denylisted) -> {vocab.size} tokens at {args.out}"
     )
     return 0
@@ -173,9 +172,7 @@ def cmd_import_predictions(args: argparse.Namespace) -> int:
     path = args.predictions or config.predictions_path
     if not path:
         raise ConfigError("a predictions file is required (--predictions or predictions_path)")
-    collection = load_config_collection(config)
-    specs, _ = build_unit_specs(config, collection)
-    expected = [(c.project, c.id) for spec in specs for c in spec.test]
+    expected = prepare_run(config).test_keys
     predictions = import_predictions(path, expected=expected)
     print(f"{path}: {len(predictions)} predictions cover all {len(expected)} test comments")
     return 0
@@ -195,9 +192,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # on the handler too: a run lowers the package logger to INFO for log.txt
+        stderr = logging.StreamHandler()
+        stderr.setLevel(logging.DEBUG if args.verbose else logging.WARNING)
         logging.basicConfig(
-            level=logging.DEBUG if args.verbose else logging.WARNING,
-            format="%(levelname)s %(name)s: %(message)s",
+            level=stderr.level, format="%(levelname)s %(name)s: %(message)s", handlers=[stderr]
         )
         return args.func(args)
     except ConfigError as exc:

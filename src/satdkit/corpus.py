@@ -229,6 +229,8 @@ def parse_manifest(path: str | Path) -> list[tuple[str, Path]]:
     """Read a manifest of ``project_name<TAB>path`` lines (# comments allowed).
 
     Relative dataset paths are resolved against the manifest's directory.
+    Exports name files after projects, so a name must not be ``.``, ``..``
+    or contain ``/`` or ``\\``.
     """
     path = Path(path)
     if not path.exists():
@@ -242,6 +244,8 @@ def parse_manifest(path: str | Path) -> list[tuple[str, Path]]:
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise DataError(f"{path}:{lineno}: expected 'project_name<TAB>path'")
         name, file_path = parts[0].strip(), Path(parts[1].strip())
+        if name in (".", "..") or "/" in name or "\\" in name:
+            raise DataError(f"{path}:{lineno}: project name {name!r} is a path")
         if not file_path.is_absolute():
             file_path = path.parent / file_path
         entries.append((name, file_path))

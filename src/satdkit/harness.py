@@ -54,6 +54,7 @@ from .corpus import (
     CorpusCollection,
     Label,
     LabelMapping,
+    ProjectDataset,
     load_collection,
     load_label_mapping,
     strip_comment,
@@ -72,11 +73,11 @@ from .vocab import (
     CandidateToken,
     Vocabulary,
     WordCache,
-    apply_denylist,
     augment_vocabulary,
     char_base_vocabulary,
     discover_candidate_tokens,
     load_base_vocabulary,
+    load_denylist,
 )
 
 log = logging.getLogger(__name__)
@@ -122,7 +123,7 @@ class ExperimentConfig:
     export_path: str | None = None
     predictions_path: str | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.manifest:
             raise ConfigError("manifest is required")
         _require_choice("scenario", self.scenario, SCENARIOS)
@@ -232,9 +233,7 @@ def build_config(
             kwargs[key] = _FIELD_PARSERS[key](value)
         except ValueError as exc:
             raise ConfigError(f"invalid value for {key!r}: {value!r} ({exc})") from None
-    config = ExperimentConfig(**kwargs)  # type: ignore[arg-type]
-    config.validate()
-    return config
+    return ExperimentConfig(**kwargs)  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------
@@ -437,14 +436,9 @@ def derive_seed(seed: int, *parts: object) -> int:
     return int.from_bytes(digest[:8], "big") & 0x7FFFFFFFFFFFFFFF
 
 
-def resolve_label_mapping(config: ExperimentConfig) -> LabelMapping:
-    if config.label_mapping:
-        return load_label_mapping(config.label_mapping)
-    return LabelMapping.standard()
-
-
 def load_config_collection(config: ExperimentConfig) -> CorpusCollection:
-    mapping = resolve_label_mapping(config)
+    mapping = load_label_mapping(config.label_mapping) if config.label_mapping \
+        else LabelMapping.standard()
     return load_collection(config.manifest, mapping, name=config.collection_name)
 
 
@@ -459,15 +453,14 @@ def _select_projects(collection: CorpusCollection, names: tuple[str, ...] | None
     return CorpusCollection(name=collection.name, projects=picked)
 
 
-def build_unit_specs(
-    config: ExperimentConfig, collection: CorpusCollection
+def _unit_specs(
+    config: ExperimentConfig, selected: CorpusCollection
 ) -> tuple[list[UnitSpec], dict]:
     """Evaluation units plus the splits payload written as folds.json.
 
     Fold plans depend only on (dataset, k, seed), so every augmentation and
     classifier variant of a config sees identical splits.
     """
-    selected = _select_projects(collection, config.projects)
     specs: list[UnitSpec] = []
     if config.scenario == "intra":
         plans = {}
@@ -515,16 +508,46 @@ def build_unit_specs(
     return specs, payload
 
 
-def _resolve_dup_lexicon(config: ExperimentConfig) -> TriggerLexicon:
-    if config.dup_lexicon:
-        return load_lexicon(config.dup_lexicon, mode=STRICT)
-    return dup_lexicon()
+@dataclass(frozen=True)
+class Run:
+    """A config with every input file it names read once, before any unit:
+    the corpus, its evaluation units and the resolved vocabulary inputs and
+    lexicons. Units read these, never the disk."""
+
+    config: ExperimentConfig
+    collection: CorpusCollection  # every project of the manifest
+    projects: tuple[ProjectDataset, ...]  # the ones the ``projects`` key selects
+    specs: tuple[UnitSpec, ...]
+    folds: dict  # the folds.json payload
+    base: Vocabulary
+    denylist: frozenset[str]
+    dup_lexicon: TriggerLexicon
+    mat_lexicon: TriggerLexicon
+
+    @property
+    def test_keys(self) -> list[tuple[str, int]]:
+        """(project, id) of every test comment, in unit order."""
+        return [(c.project, c.id) for spec in self.specs for c in spec.test]
 
 
-def _resolve_mat_lexicon(config: ExperimentConfig, mode: str) -> TriggerLexicon:
-    if config.mat_lexicon:
-        return load_lexicon(config.mat_lexicon, mode=mode)
-    return mat_lexicon(mode=mode)
+def prepare_run(config: ExperimentConfig) -> Run:
+    """Load the corpus, build the units and read every input file the
+    config names; a missing or malformed file fails here, not in a unit."""
+    collection = load_config_collection(config)
+    selected = _select_projects(collection, config.projects)
+    specs, folds = _unit_specs(config, selected)
+    mode = FUZZY if config.classifier == "mat_fuzzy" else STRICT
+    return Run(
+        config, collection, selected.projects, tuple(specs), folds,
+        base=load_base_vocabulary(config.vocab_base) if config.vocab_base
+        else char_base_vocabulary(),
+        denylist=load_denylist(config.vocab_denylist) if config.vocab_denylist
+        else frozenset(),
+        dup_lexicon=load_lexicon(config.dup_lexicon) if config.dup_lexicon
+        else dup_lexicon(),
+        mat_lexicon=load_lexicon(config.mat_lexicon, mode) if config.mat_lexicon
+        else mat_lexicon(mode),
+    )
 
 
 def _sampler_config(config: ExperimentConfig, unit_seed: int) -> SamplerConfig:
@@ -537,14 +560,13 @@ def _sampler_config(config: ExperimentConfig, unit_seed: int) -> SamplerConfig:
     )
 
 
-def training_stream(
-    config: ExperimentConfig, spec: UnitSpec
-) -> tuple[Iterator[Batch], list[Comment]]:
+def training_stream(run: Run, spec: UnitSpec) -> tuple[Iterator[Batch], list[Comment]]:
     """The unit's seeded training batches and its (augmented) train list.
 
     With dup_fmr the minority pool contains originals plus duplicates, so
     forced re-sampling draws from both.
     """
+    config = run.config
     sampler = _sampler_config(config, spec.sampler_seed)
     train = list(spec.train)
     if config.augmentation == "dup_fmr":
@@ -553,7 +575,7 @@ def training_stream(
         for c in (*spec.train, *spec.test):
             id_floor[c.project] = max(id_floor.get(c.project, 0), c.id + 1)
         train, n_dup = dup_augment(
-            train, _resolve_dup_lexicon(config), scope=config.dup_scope, id_floor=id_floor
+            train, run.dup_lexicon, scope=config.dup_scope, id_floor=id_floor
         )
         log.debug("%s/%s: %d duplicates appended", spec.project, spec.unit, n_dup)
     if config.augmentation == "none":
@@ -562,22 +584,17 @@ def training_stream(
 
 
 def vocabulary_candidates(
-    config: ExperimentConfig, project_words: list[set[str]]
-) -> tuple[Vocabulary, list[CandidateToken], int]:
-    """The configured base vocabulary, the tokens discovered in the
-    per-project word sets that survive the denylist, and how many it dropped."""
-    if config.vocab_base:
-        base = load_base_vocabulary(config.vocab_base)
-    else:
-        base = char_base_vocabulary()
-    candidates = discover_candidate_tokens(project_words, base, threshold=config.vocab_threshold)
-    n_found = len(candidates)
-    if config.vocab_denylist:
-        candidates = apply_denylist(candidates, config.vocab_denylist)
-    return base, candidates, n_found - len(candidates)
+    run: Run, project_words: list[set[str]]
+) -> tuple[list[CandidateToken], int]:
+    """The tokens discovered in the per-project word sets that survive the
+    denylist, and how many it dropped."""
+    threshold = run.config.vocab_threshold
+    found = discover_candidate_tokens(project_words, run.base, threshold=threshold)
+    kept = [c for c in found if c.token not in run.denylist]
+    return kept, len(found) - len(kept)
 
 
-def build_vocabulary(config: ExperimentConfig, project_words: list[set[str]]) -> Vocabulary:
+def build_vocabulary(run: Run, project_words: list[set[str]]) -> Vocabulary:
     """Base vocabulary plus the tokens discovered in the per-project word
     sets (see ``WordCache.project_words``) minus the denylist.
 
@@ -586,8 +603,7 @@ def build_vocabulary(config: ExperimentConfig, project_words: list[set[str]]) ->
     including those the ``projects`` key leaves out: one universal tokenizer
     shared by every unit, test data included.
     """
-    base, candidates, _ = vocabulary_candidates(config, project_words)
-    return augment_vocabulary(base, candidates)
+    return augment_vocabulary(run.base, vocabulary_candidates(run, project_words)[0])
 
 
 def _assert_no_leakage(train: Iterable[Comment], test: Iterable[Comment]) -> None:
@@ -598,19 +614,20 @@ def _assert_no_leakage(train: Iterable[Comment], test: Iterable[Comment]) -> Non
 
 
 def _evaluate_unit(
-    config: ExperimentConfig,
+    run: Run,
     words: WordCache,
     spec: UnitSpec,
     shared_vocab: Vocabulary | None,
     predictions: dict[tuple[str, int], float] | None,
 ) -> MetricResult:
+    config = run.config
     if config.classifier == "external":
         assert predictions is not None
         scores = [predictions[(c.project, c.id)] for c in spec.test]
     elif config.classifier == "linear":
-        batches, train = training_stream(config, spec)
+        batches, train = training_stream(run, spec)
         _assert_no_leakage(train, spec.test)
-        vocab = shared_vocab or build_vocabulary(config, words.project_words(spec.train))
+        vocab = shared_vocab or build_vocabulary(run, words.project_words(spec.train))
         hyper = classifier.LinearHyper(learning_rate=config.learning_rate, l2=config.l2)
         n = config.max_seq_len
         state = classifier.train_linear(batches, vocab, words, hyper, n)
@@ -618,9 +635,7 @@ def _evaluate_unit(
     else:
         # the keyword baseline needs no training, so no training stream
         _assert_no_leakage(spec.train, spec.test)
-        mode = FUZZY if config.classifier == "mat_fuzzy" else STRICT
-        lex = _resolve_mat_lexicon(config, mode)
-        scores = [classifier.mat_score(lex, c.text) for c in spec.test]
+        scores = [classifier.mat_score(run.mat_lexicon, c.text) for c in spec.test]
     preds = [Label.SATD if s >= config.threshold else Label.NON_SATD for s in scores]
     return compute_metrics(preds, [c.label for c in spec.test])
 
@@ -643,36 +658,25 @@ def _aggregate_project(
     )
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    collection: CorpusCollection | None = None,
-    specs: list[UnitSpec] | None = None,
-) -> EvalReport:
-    """Run the configured scenario over every unit and assemble the report.
+def run_experiment(run: Run) -> EvalReport:
+    """Run the prepared scenario over every unit and assemble the report.
 
-    ``specs`` defaults to ``build_unit_specs(config, collection)``. A unit
-    that fails is recorded with an error marker and excluded from the
+    A unit that fails is recorded with an error marker and excluded from the
     aggregates; the rest of the grid still runs.
     """
-    config.validate()
-    if collection is None:
-        collection = load_config_collection(config)
-    if specs is None:
-        specs, _ = build_unit_specs(config, collection)
+    config = run.config
     predictions = None
     if config.classifier == "external":
-        expected = [(c.project, c.id) for spec in specs for c in spec.test]
-        predictions = import_predictions(config.predictions_path, expected=expected)
+        predictions = import_predictions(config.predictions_path, expected=run.test_keys)
     words = WordCache()
     shared_vocab = None
     if config.classifier == "linear" and config.vocab_scope == "all":
-        comments = (c for ds in collection for c in ds.comments)
-        shared_vocab = build_vocabulary(config, words.project_words(comments))
-    selected = _select_projects(collection, config.projects)
-    by_project: dict[str, list[UnitResult]] = {ds.project: [] for ds in selected.projects}
-    for spec in specs:
+        comments = (c for ds in run.collection for c in ds.comments)
+        shared_vocab = build_vocabulary(run, words.project_words(comments))
+    by_project: dict[str, list[UnitResult]] = {ds.project: [] for ds in run.projects}
+    for spec in run.specs:
         try:
-            metrics = _evaluate_unit(config, words, spec, shared_vocab, predictions)
+            metrics = _evaluate_unit(run, words, spec, shared_vocab, predictions)
             result = UnitResult(unit=spec.unit, metrics=metrics)
         except SatdkitError as exc:
             log.warning("%s/%s failed: %s", spec.project, spec.unit, exc)
@@ -681,7 +685,7 @@ def run_experiment(
         if result.metrics is not None:
             log.info("%s/%s: f1=%.3f", spec.project, spec.unit, result.metrics.f1)
     project_results = []
-    for ds in selected.projects:
+    for ds in run.projects:
         note = "project has no SATD comments" if ds.n_satd == 0 else None
         project_results.append(_aggregate_project(ds.project, by_project[ds.project], note))
     scored = [p for p in project_results if p.f1 is not None]
@@ -706,25 +710,20 @@ def export_batches(config: ExperimentConfig, path: str | Path | None = None) -> 
     plus the split definitions an external trainer must honor.
 
     Layout: ``export.json`` (unit manifest with test ids and pool sizes),
-    ``folds.json``, and one ``batches/...jsonl`` file per unit.
+    ``folds.json``, and one batch file per unit: ``batches/<project>/<fold>.jsonl``
+    (intra) or ``batches/<project>.jsonl`` (cross).
     """
-    config.validate()
     target = config.export_path if path is None else path
     if not target:
         raise ConfigError("export path is required")
     out = Path(target)
-    specs, folds_payload = build_unit_specs(config, load_config_collection(config))
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "batches").mkdir(exist_ok=True)
+    run = prepare_run(config)
     units_meta = []
-    for spec in specs:
-        if config.scenario == "intra":
-            unit_dir = out / "batches" / spec.project
-            unit_dir.mkdir(parents=True, exist_ok=True)
-            batch_path = unit_dir / f"{spec.unit}.jsonl"
-        else:
-            batch_path = out / "batches" / f"{spec.project}.jsonl"
-        stream, train = training_stream(config, spec)
+    for spec in run.specs:
+        name = f"{spec.project}/{spec.unit}" if config.scenario == "intra" else spec.project
+        batch_path = out / "batches" / f"{name}.jsonl"
+        batch_path.parent.mkdir(parents=True, exist_ok=True)
+        stream, train = training_stream(run, spec)
         n_lines = write_batches_jsonl(stream, batch_path)
         units_meta.append(
             {
@@ -745,7 +744,7 @@ def export_batches(config: ExperimentConfig, path: str | Path | None = None) -> 
         "units": units_meta,
     }
     _atomic_write(out / "export.json", _json_text(manifest))
-    _atomic_write(out / "folds.json", _json_text(folds_payload))
+    _atomic_write(out / "folds.json", _json_text(run.folds))
     return out
 
 
@@ -820,7 +819,7 @@ def execute_run(config: ExperimentConfig) -> Path:
     log.txt}``; report files are atomic and deterministic, wall-clock detail
     goes to log.txt only.
     """
-    config.validate()
+    run = prepare_run(config)
     run_dir = Path(config.outdir) / config.digest()
     run_dir.mkdir(parents=True, exist_ok=True)
     handler = logging.FileHandler(run_dir / "log.txt", mode="w", encoding="utf-8")
@@ -828,17 +827,15 @@ def execute_run(config: ExperimentConfig) -> Path:
     pkg_logger = logging.getLogger("satdkit")
     pkg_logger.addHandler(handler)
     previous_level = pkg_logger.level
-    if pkg_logger.level > logging.INFO or pkg_logger.level == logging.NOTSET:
+    if pkg_logger.getEffectiveLevel() > logging.INFO:
         pkg_logger.setLevel(logging.INFO)
     try:
         log.info("run starting: digest=%s scenario=%s", config.digest(), config.scenario)
-        collection = load_config_collection(config)
-        specs, folds_payload = build_unit_specs(config, collection)
-        report = run_experiment(config, collection, specs)
+        report = run_experiment(run)
         _atomic_write(run_dir / "report.json", report_to_json(report))
         _atomic_write(run_dir / "report.csv", render_csv(report))
         _atomic_write(run_dir / "report.md", render_markdown(report))
-        _atomic_write(run_dir / "folds.json", _json_text(folds_payload))
+        _atomic_write(run_dir / "folds.json", _json_text(run.folds))
         log.info("run finished: outputs in %s", run_dir)
     finally:
         pkg_logger.removeHandler(handler)

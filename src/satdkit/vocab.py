@@ -182,17 +182,14 @@ def discover_candidate_tokens(
     return candidates
 
 
-def apply_denylist(
-    candidates: list[CandidateToken], denylist: str | Path
-) -> list[CandidateToken]:
-    """Drop candidates whose token appears in the denylist file (one per line)."""
-    path = Path(denylist)
+def load_denylist(path: str | Path) -> frozenset[str]:
+    """The tokens of a denylist file (one per line), which discovery must not add."""
+    path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise DataError(f"cannot read denylist {path}: {exc}") from None
-    denied = {line.strip() for line in lines if line.strip()}
-    return [c for c in candidates if c.token not in denied]
+    return frozenset(line.strip() for line in lines if line.strip())
 
 
 def augment_vocabulary(base: Vocabulary, finals: list[CandidateToken]) -> Vocabulary:

@@ -43,8 +43,7 @@ from satdkit.corpus import (
 from satdkit.evalkit import compute_metrics, stratified_kfold
 from satdkit.harness import (
     build_config,
-    build_unit_specs,
-    load_config_collection,
+    prepare_run,
     run_experiment,
     training_stream,
 )
@@ -180,14 +179,13 @@ def test_criterion_04_dup_contract(tmp_path):
             "manifest": str(manifest), "scenario": "intra",
             "augmentation": "dup_fmr", "k": "5", "seed": "3", "epochs": "1",
         })
-        collection = load_config_collection(config)
-        specs, payload = build_unit_specs(config, collection)
+        run = prepare_run(config)
         fold_ids = {
-            cid for plan in payload["projects"].values()
+            cid for plan in run.folds["projects"].values()
             for fold in plan["folds"] for cid in fold
         }
-        for spec in specs:
-            _, train_list = training_stream(config, spec)
+        for spec in run.specs:
+            _, train_list = training_stream(run, spec)
             for dup in (c for c in train_list if c.origin_id is not None):
                 assert dup.id not in fold_ids
 
@@ -373,15 +371,13 @@ def test_criterion_10_end_to_end_planted_run(tmp_path):
             "manifest": str(manifest), "scenario": "intra",
             "classifier": "linear", "seed": "11",
         }
-        baseline_cfg = build_config(overrides={**shared, "augmentation": "none"})
-        dup_cfg = build_config(overrides={**shared, "augmentation": "dup_fmr"})
-        collection = load_config_collection(baseline_cfg)
-        spec_base = build_unit_specs(baseline_cfg, collection)[0][0]
-        spec_dup = build_unit_specs(dup_cfg, collection)[0][0]
+        baseline_run = prepare_run(build_config(overrides={**shared, "augmentation": "none"}))
+        dup_run = prepare_run(build_config(overrides={**shared, "augmentation": "dup_fmr"}))
+        spec_base, spec_dup = baseline_run.specs[0], dup_run.specs[0]
         assert spec_base.test == spec_dup.test  # same fold plan
 
-        def minority_per_epoch(config, spec, epoch=0):
-            stream, _ = training_stream(config, spec)
+        def minority_per_epoch(run, spec, epoch=0):
+            stream, _ = training_stream(run, spec)
             count = 0
             for batch in stream:
                 if batch.epoch != epoch:
@@ -389,11 +385,11 @@ def test_criterion_10_end_to_end_planted_run(tmp_path):
                 count += batch.label_counts()[0]
             return count
 
-        base_count = minority_per_epoch(baseline_cfg, spec_base)
-        dup_count = minority_per_epoch(dup_cfg, spec_dup)
+        base_count = minority_per_epoch(baseline_run, spec_base)
+        dup_count = minority_per_epoch(dup_run, spec_dup)
         assert dup_count > base_count
         # determinism of the counts themselves
-        assert minority_per_epoch(dup_cfg, spec_dup) == dup_count
+        assert minority_per_epoch(dup_run, spec_dup) == dup_count
         assert time.monotonic() - started < 120.0
 
 
@@ -444,7 +440,7 @@ def test_criterion_12_mat_fuzzy_band():
             "manifest": manifest, "scenario": "cross", "classifier": "mat_fuzzy",
             "projects": ",".join(CROSS_PROJECT_BEST_F1_DATASET_G), "seed": "1",
         })
-        report = run_experiment(config)
+        report = run_experiment(prepare_run(config))
         per_project = {p.project: p.f1 for p in report.projects}
         within = sum(
             1

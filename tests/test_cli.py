@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from helpers import write_planted_corpus
+from helpers import planted_rows, write_corpus, write_planted_corpus
 from satdkit.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_ingest_prints_stats(tmp_path, capsys):
@@ -58,6 +64,63 @@ def test_run_failure_exit_code(tmp_path, capsys):
     ])
     assert code == 3
     assert "run failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verbose", [False, True])
+def test_run_logs_to_stderr_only_when_verbose(tmp_path, verbose):
+    # a subprocess, because pytest's root handler makes basicConfig a no-op here
+    manifest = write_planted_corpus(tmp_path / "data", n_total=80, n_satd=8, seed=4)
+    result = subprocess.run(
+        [sys.executable, "-m", "satdkit.cli", *["-v"] * verbose, "run",
+         "--manifest", str(manifest), "--augmentation", "dup_fmr", "--k", "4",
+         "--epochs", "1", "--outdir", str(tmp_path / "runs")],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    log = (run_dir / "log.txt").read_text(encoding="utf-8")
+    assert log.count(": f1=") == 4
+    if verbose:
+        assert result.stderr.count(" duplicates appended") == 4
+        assert log.count(" duplicates appended") == 4
+    else:
+        assert result.stderr == ""
+        assert "DEBUG" not in log
+
+
+@pytest.mark.parametrize("key", ["vocab_base", "vocab_denylist", "dup_lexicon", "mat_lexicon"])
+def test_missing_input_file_fails_run_before_any_unit(tmp_path, capsys, key):
+    # the linear dup_fmr run reads every file but the keyword lexicon, which
+    # it must still find
+    manifest = write_planted_corpus(tmp_path / "data", n_total=80, n_satd=8, seed=4)
+    missing = tmp_path / "nope.txt"
+    code = main([
+        "run", "--manifest", str(manifest), "--classifier", "linear",
+        "--augmentation", "dup_fmr", "--k", "4", "--epochs", "1",
+        "--outdir", str(tmp_path / "runs"), f"--{key.replace('_', '-')}", str(missing),
+    ])
+    assert code == 2
+    assert str(missing) in capsys.readouterr().err
+    assert not list(tmp_path.rglob("report.json"))
+
+
+@pytest.mark.parametrize("scenario", ["intra", "cross"])
+@pytest.mark.parametrize("name", ["a/b", "a\\b", "..", "."])
+def test_path_like_project_name_is_data_error(tmp_path, capsys, scenario, name):
+    manifest = write_corpus(tmp_path / "data", {
+        "Alpha": planted_rows(1, 40, 4), "Beta": planted_rows(2, 40, 4),
+    })
+    manifest.write_text(f"Alpha\tAlpha.csv\n{name}\tBeta.csv\n", encoding="utf-8")
+    export_dir = tmp_path / "data" / "export"
+    code = main([
+        "export-batches", "--manifest", str(manifest), "--scenario", scenario,
+        "--k", "4", "--epochs", "1", "--out", str(export_dir),
+    ])
+    assert code == 2
+    assert f"manifest.tsv:2: project name {name!r} is a path" in capsys.readouterr().err
+    assert not export_dir.exists()
+    assert sorted(p.name for p in tmp_path.rglob("*.jsonl")) == []
 
 
 def test_vocab_build_and_inspect(tmp_path, capsys):

@@ -15,6 +15,7 @@ from helpers import planted_rows, write_corpus
 from satdkit.cli import main
 from satdkit.corpus import Label
 from satdkit.harness import build_config, execute_run
+from satdkit.vocab import char_base_vocabulary
 
 # Decoys: fuzzy matching fires inside these words, strict matching does not.
 DECOYS = [
@@ -33,6 +34,20 @@ def _write_golden_corpus(root):
 
 
 DENYLIST = "w01\nvalue\n//\n"
+
+# Every input file a config can name, written next to the corpus.
+INPUT_FILES = {
+    "deny.txt": DENYLIST,
+    # the char base plus whole words, which discovery then skips
+    "base.txt": "\n".join((*char_base_vocabulary().tokens, "parser", "cache", "todo")) + "\n",
+    "dup.txt": "# triggers stripped from duplicates\ntodo\nfixme\nugly\n",
+    "mat.txt": "hack\nxxx  # fuzzy also fires inside 'hackathon'\n",
+    "labels.txt": "DESIGN -> SATD\nWITHOUT_CLASSIFICATION -> NON_SATD\n",
+}
+ALL_INPUT_FILES = {
+    "vocab_base": "base.txt", "vocab_denylist": "deny.txt", "dup_lexicon": "dup.txt",
+    "mat_lexicon": "mat.txt", "label_mapping": "labels.txt",
+}
 
 COMMON = {
     "manifest": "data/manifest.tsv", "outdir": "runs", "k": "4", "epochs": "2",
@@ -71,6 +86,18 @@ GOLDEN_RUNS = {
         "1dc85c41b220d1ff13dd9bf6b32aef0776b8b00395db07350b0c753bc56d9d60",
         "ed12773472595e4d134a71882b59e3cccde0ca092cc45d936519ee83bde3023f",
     ),
+    "intra_linear_dupfmr_input_files": (
+        {"scenario": "intra", "classifier": "linear", "augmentation": "dup_fmr",
+         "projects": "Alpha,Beta", "seed": "11", **ALL_INPUT_FILES},
+        "31ad56e0223711a92d96c056894ab445e49d572a700d1c273b7629581fd5b894",
+        "59ad53fea65b520fc40932642dc48b578263104ccfe41dd250d1b273021369ef",
+    ),
+    "cross_mat_fuzzy_input_files": (
+        {"scenario": "cross", "classifier": "mat_fuzzy", "augmentation": "none",
+         "seed": "13", **ALL_INPUT_FILES},
+        "5b704886c4bf8d12f101c31eee059d2f3e78139883715a27c89b4f0fc75b48db",
+        "475b495153bf37c5964ccf18c79f076a82d78e748297d3b75ccb7381ba0a0ccb",
+    ),
 }
 
 GOLDEN_VOCAB = {
@@ -83,11 +110,16 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _write_inputs(root):
+    _write_golden_corpus(root / "data")
+    for name, text in INPUT_FILES.items():
+        (root / name).write_text(text, encoding="utf-8")
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_golden_report_bytes(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    _write_golden_corpus(tmp_path / "data")
-    (tmp_path / "deny.txt").write_text(DENYLIST, encoding="utf-8")
+    _write_inputs(tmp_path)
     overrides, report_sha, folds_sha = GOLDEN_RUNS[name]
     run_dir = execute_run(build_config(overrides={**COMMON, **overrides}))
     assert _sha256(run_dir / "report.json") == report_sha
@@ -96,8 +128,7 @@ def test_golden_report_bytes(name, tmp_path, monkeypatch):
 
 def test_golden_vocab_build_bytes(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    _write_golden_corpus(tmp_path / "data")
-    (tmp_path / "deny.txt").write_text(DENYLIST, encoding="utf-8")
+    _write_inputs(tmp_path)
     code = main([
         "vocab", "build", "--manifest", "data/manifest.tsv",
         "--vocab-denylist", "deny.txt",

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,15 +22,16 @@ from satdkit.evalkit import MetricResult
 from satdkit.lexicon import dup_lexicon
 from satdkit.harness import (
     EvalReport,
+    ExperimentConfig,
     ProjectResult,
     UnitResult,
     build_config,
-    build_unit_specs,
     build_vocabulary,
     execute_run,
     export_batches,
     import_predictions,
     load_config_collection,
+    prepare_run,
     render_csv,
     render_markdown,
     render_report,
@@ -38,7 +41,7 @@ from satdkit.harness import (
     run_experiment,
     training_stream,
 )
-from satdkit.vocab import WordCache
+from satdkit.vocab import WordCache, char_base_vocabulary
 
 
 def _mixed_rows(seed, n_total, n_satd):
@@ -102,6 +105,14 @@ def test_config_validation():
                 build_config(overrides={"manifest": "m", key: value})
 
 
+def test_invalid_config_cannot_be_constructed():
+    with pytest.raises(ConfigError, match="k must be >= 2"):
+        ExperimentConfig(manifest="m", k=1)
+    config = build_config(overrides={"manifest": "m"})
+    with pytest.raises(ConfigError, match="threshold must be in"):
+        dataclasses.replace(config, threshold=2.0)
+
+
 def test_config_digest_ignores_outdir():
     a = build_config(overrides={"manifest": "m", "outdir": "runs-a"})
     b = build_config(overrides={"manifest": "m", "outdir": "runs-b"})
@@ -116,7 +127,7 @@ def test_projects_filter_unknown_name(tmp_path):
         "manifest": str(manifest), "projects": "Alpha,Ghost", "scenario": "cross",
     })
     with pytest.raises(ConfigError, match="Ghost"):
-        run_experiment(config)
+        prepare_run(config)
 
 
 # ---------------------------------------------------------------------------
@@ -128,14 +139,14 @@ def test_intra_units_partition_each_project(tmp_path):
     config = build_config(overrides={
         "manifest": str(manifest), "scenario": "intra", "k": "5", "seed": "3",
     })
-    collection = load_config_collection(config)
-    specs, payload = build_unit_specs(config, collection)
+    run = prepare_run(config)
+    specs, payload = run.specs, run.folds
     assert len(specs) == 10  # 2 projects x 5 folds
     for spec in specs:
         train_ids = {c.id for c in spec.train}
         test_ids = {c.id for c in spec.test}
         assert not train_ids & test_ids
-        ds = collection.get(spec.project)
+        ds = run.collection.get(spec.project)
         assert len(train_ids) + len(test_ids) == ds.n_total
     assert payload["scenario"] == "intra"
     assert set(payload["projects"]) == {"Alpha", "Beta"}
@@ -144,21 +155,17 @@ def test_intra_units_partition_each_project(tmp_path):
 def test_fold_plans_shared_across_variants(tmp_path):
     manifest = _write_pair_corpus(tmp_path)
     base = {"manifest": str(manifest), "scenario": "intra", "k": "5", "seed": "3"}
-    collection = None
     payloads = []
     for augmentation in ("none", "fmr", "dup_fmr"):
         config = build_config(overrides={**base, "augmentation": augmentation})
-        collection = collection or load_config_collection(config)
-        _, payload = build_unit_specs(config, collection)
-        payloads.append(json.dumps(payload, sort_keys=True))
+        payloads.append(json.dumps(prepare_run(config).folds, sort_keys=True))
     assert payloads[0] == payloads[1] == payloads[2]
 
 
 def test_cross_units(tmp_path):
     manifest = _write_pair_corpus(tmp_path)
-    config = build_config(overrides={"manifest": str(manifest), "scenario": "cross"})
-    collection = load_config_collection(config)
-    specs, payload = build_unit_specs(config, collection)
+    run = prepare_run(build_config(overrides={"manifest": str(manifest), "scenario": "cross"}))
+    specs, payload = run.specs, run.folds
     assert [s.project for s in specs] == ["Alpha", "Beta"]
     assert {c.project for c in specs[0].train} == {"Beta"}
     assert {c.project for c in specs[0].test} == {"Alpha"}
@@ -175,7 +182,7 @@ def test_run_intra_mat_strict_on_trigger_defined_corpus(tmp_path):
         "manifest": str(manifest), "scenario": "intra", "classifier": "mat_strict",
         "k": "5", "seed": "2",
     })
-    report = run_experiment(config)
+    report = run_experiment(prepare_run(config))
     assert report.scenario == "intra"
     assert len(report.projects) == 1
     # labels are defined by trigger presence, so the keyword baseline is exact
@@ -202,7 +209,7 @@ def test_external_score_equal_to_threshold_is_satd(tmp_path):
         for c in load_config_collection(config).get("Planted").comments:
             score = 0.5 if c.label is Label.SATD else 0.0
             fh.write(json.dumps({"project": c.project, "id": c.id, "score": score}) + "\n")
-    report = run_experiment(config)
+    report = run_experiment(prepare_run(config))
     assert _unit_counts(report) == (8, 0)
     assert report.average_f1 == pytest.approx(1.0)
 
@@ -213,7 +220,7 @@ def test_mat_hit_at_threshold_one_is_satd(tmp_path):
         "manifest": str(manifest), "scenario": "intra", "classifier": "mat_strict",
         "k": "4", "seed": "1", "threshold": "1.0",
     })
-    report = run_experiment(config)
+    report = run_experiment(prepare_run(config))
     assert _unit_counts(report) == (8, 0)
     assert report.average_f1 == pytest.approx(1.0)
 
@@ -228,7 +235,7 @@ def test_mat_strict_scores_raw_comment_text(tmp_path):
         "manifest": str(manifest), "scenario": "intra", "classifier": "mat_strict",
         "k": "2", "seed": "1",
     })
-    assert _unit_counts(run_experiment(config)) == (1, 1)
+    assert _unit_counts(run_experiment(prepare_run(config))) == (1, 1)
 
 
 def test_mat_units_build_no_training_stream(tmp_path, monkeypatch):
@@ -274,13 +281,43 @@ def test_each_comment_text_is_segmented_once_per_run(
     assert len(segmented) == len(texts)
 
 
+def test_each_input_file_is_read_once_per_run(tmp_path, monkeypatch):
+    projects = {name: planted_rows(seed, 40, 10) for seed, name in enumerate(("A", "B", "C"))}
+    overrides = {
+        "manifest": str(write_corpus(tmp_path / "data", projects)),
+        "outdir": str(tmp_path / "runs"), "scenario": "intra", "k": "10",
+        "classifier": "linear", "augmentation": "dup_fmr", "epochs": "1",
+    }
+    files = {
+        "vocab_base": ("base.txt", "\n".join(char_base_vocabulary().tokens) + "\n"),
+        "vocab_denylist": ("deny.txt", "w01\n"),
+        "dup_lexicon": ("dup.txt", "todo\nugly\n"),
+        "mat_lexicon": ("mat.txt", "hack\n"),
+    }
+    for key, (name, text) in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        overrides[key] = str(tmp_path / name)
+    opened = Counter()
+    original = Path.open
+    monkeypatch.setattr(
+        Path, "open", lambda self, *a, **kw: opened.update([self.name]) or original(self, *a, **kw)
+    )
+    report = json.loads((execute_run(build_config(overrides=overrides)) / "report.json")
+                        .read_text(encoding="utf-8"))
+    units = [u for p in report["projects"] for u in p["units"]]
+    assert len(units) == 30 and all(u["error"] is None for u in units)
+    assert {name: opened[name] for name, _ in files.values()} == {
+        name: 1 for name, _ in files.values()
+    }
+
+
 def test_run_cross_linear_pattern_transfers(tmp_path):
     manifest = _write_pair_corpus(tmp_path, n_a=400, n_b=400, seed_a=3, seed_b=4)
     config = build_config(overrides={
         "manifest": str(manifest), "scenario": "cross", "classifier": "linear",
         "seed": "6", "epochs": "15",
     })
-    report = run_experiment(config)
+    report = run_experiment(prepare_run(config))
     assert [p.project for p in report.projects] == ["Alpha", "Beta"]
     for project in report.projects:
         assert project.f1 == pytest.approx(1.0)
@@ -294,7 +331,7 @@ def test_degenerate_project_flagged(tmp_path):
         "manifest": str(manifest), "scenario": "intra", "classifier": "mat_strict",
         "k": "4", "seed": "1",
     })
-    report = run_experiment(config)
+    report = run_experiment(prepare_run(config))
     project = report.projects[0]
     assert project.note == "project has no SATD comments"
     assert project.f1 == 0.0
@@ -312,7 +349,7 @@ def test_failed_unit_recorded_not_fatal(tmp_path):
         "manifest": str(manifest), "scenario": "intra", "classifier": "linear",
         "augmentation": "fmr", "k": "4", "seed": "1", "epochs": "1",
     })
-    report = run_experiment(config)
+    report = run_experiment(prepare_run(config))
     units = report.projects[0].units
     failed = [u for u in units if u.error]
     succeeded = [u for u in units if u.metrics is not None]
@@ -331,7 +368,7 @@ def test_comment_word_equal_to_continuation_piece_trains(tmp_path):
         "manifest": str(manifest), "scenario": "intra", "classifier": "linear",
         "k": "2", "seed": "1", "epochs": "1",
     })
-    units = run_experiment(config).projects[0].units
+    units = run_experiment(prepare_run(config)).projects[0].units
     assert [u.error for u in units] == [None, None]
 
 
@@ -388,7 +425,7 @@ def test_projects_filter_limits_run(tmp_path):
         "manifest": str(manifest), "scenario": "intra", "classifier": "mat_strict",
         "projects": "Beta", "k": "4", "seed": "2",
     })
-    report = run_experiment(config)
+    report = run_experiment(prepare_run(config))
     assert [p.project for p in report.projects] == ["Beta"]
 
 
@@ -412,7 +449,7 @@ def test_custom_lexicon_and_mapping_files(tmp_path):
         "mat_lexicon": str(tmp_path / "lexicon.txt"),
         "scenario": "intra", "classifier": "mat_strict", "k": "4", "seed": "2",
     })
-    report = run_experiment(config)
+    report = run_experiment(prepare_run(config))
     assert report.projects[0].f1 == pytest.approx(1.0)
 
 
@@ -422,8 +459,10 @@ def test_vocab_scope_all_shares_universal_vocabulary(tmp_path):
         "manifest": str(manifest), "scenario": "intra", "classifier": "linear",
         "k": "4", "seed": "5", "epochs": "3",
     }
-    leak_free = run_experiment(build_config(overrides={**base, "vocab_scope": "train"}))
-    universal = run_experiment(build_config(overrides={**base, "vocab_scope": "all"}))
+    leak_free, universal = (
+        run_experiment(prepare_run(build_config(overrides={**base, "vocab_scope": scope})))
+        for scope in ("train", "all")
+    )
     assert leak_free.digest != universal.digest
     for report in (leak_free, universal):
         assert report.projects[0].f1 is not None
@@ -438,13 +477,11 @@ def test_dup_scope_all_duplicates_trigger_free_minority(tmp_path):
         "manifest": str(manifest), "scenario": "intra", "k": "4",
         "epochs": "1", "seed": "3", "augmentation": "dup_fmr",
     }
-    triggered_cfg = build_config(overrides={**base, "dup_scope": "triggered"})
-    all_cfg = build_config(overrides={**base, "dup_scope": "all"})
-    collection = load_config_collection(triggered_cfg)
-    spec_t = build_unit_specs(triggered_cfg, collection)[0][0]
-    spec_a = build_unit_specs(all_cfg, collection)[0][0]
-    _, train_t = training_stream(triggered_cfg, spec_t)
-    _, train_a = training_stream(all_cfg, spec_a)
+    run_t = prepare_run(build_config(overrides={**base, "dup_scope": "triggered"}))
+    run_a = prepare_run(build_config(overrides={**base, "dup_scope": "all"}))
+    spec_t, spec_a = run_t.specs[0], run_a.specs[0]
+    _, train_t = training_stream(run_t, spec_t)
+    _, train_a = training_stream(run_a, spec_a)
     dups_t = [c for c in train_t if c.origin_id is not None]
     dups_a = [c for c in train_a if c.origin_id is not None]
     assert len(dups_a) >= len(dups_t)
@@ -619,12 +656,13 @@ def test_external_trainer_equivalence(tmp_path):
         "augmentation": "fmr", "epochs": "2",
     }
     in_process = build_config(overrides={**shared, "classifier": "linear"})
-    report_in = run_experiment(in_process)
+    run_in = prepare_run(in_process)
+    report_in = run_experiment(run_in)
 
     export_dir = tmp_path / "export"
     export_batches(in_process, export_dir)
     manifest_data = json.loads((export_dir / "export.json").read_text(encoding="utf-8"))
-    collection = load_config_collection(in_process)
+    collection = run_in.collection
 
     # stand-in external trainer: same model family, driven only by the
     # exported artifacts plus the deterministic vocabulary recipe
@@ -637,7 +675,7 @@ def test_external_trainer_equivalence(tmp_path):
             test_keys = set(test_pairs)
             ds = collection.get(unit["project"])
             train_comments = [c for c in ds.comments if (c.project, c.id) not in test_keys]
-            vocab = build_vocabulary(in_process, words.project_words(train_comments))
+            vocab = build_vocabulary(run_in, words.project_words(train_comments))
             batches = []
             for line in (export_dir / unit["batches"]).read_text(encoding="utf-8").splitlines():
                 record = json.loads(line)
@@ -659,7 +697,7 @@ def test_external_trainer_equivalence(tmp_path):
         **shared, "classifier": "external",
         "export_path": str(export_dir), "predictions_path": str(predictions_path),
     })
-    report_ext = run_experiment(external)
+    report_ext = run_experiment(prepare_run(external))
 
     units_in = [u.metrics for p in report_in.projects for u in p.units]
     units_ext = [u.metrics for p in report_ext.projects for u in p.units]
@@ -678,7 +716,7 @@ def test_external_missing_prediction_fails(tmp_path):
         "predictions_path": str(predictions_path),
     })
     with pytest.raises(DataError, match="missing predictions"):
-        run_experiment(config)
+        run_experiment(prepare_run(config))
 
 
 # ---------------------------------------------------------------------------
@@ -810,7 +848,7 @@ def test_report_json_round_trip(tmp_path, classifier):
             for ds in collection for c in ds.comments
         ), encoding="utf-8")
         overrides.update(export_path=str(tmp_path / "export"), predictions_path=str(preds))
-    report = run_experiment(build_config(overrides=overrides))
+    report = run_experiment(prepare_run(build_config(overrides=overrides)))
     assert report_from_dict(json.loads(report_to_json(report))) == report
 
 
@@ -845,13 +883,12 @@ def test_dup_duplicates_never_reach_test_folds(tmp_path):
         "manifest": str(manifest), "scenario": "intra", "augmentation": "dup_fmr",
         "k": "5", "seed": "7", "epochs": "1",
     })
-    collection = load_config_collection(config)
-    specs, payload = build_unit_specs(config, collection)
+    run = prepare_run(config)
     all_fold_ids = {
-        cid for plan in payload["projects"].values() for fold in plan["folds"] for cid in fold
+        cid for plan in run.folds["projects"].values() for fold in plan["folds"] for cid in fold
     }
-    for spec in specs:
-        _, train = training_stream(config, spec)
+    for spec in run.specs:
+        _, train = training_stream(run, spec)
         duplicates = [c for c in train if c.origin_id is not None]
         assert duplicates, "expected duplicates in every training split"
         test_ids = {c.id for c in spec.test}

@@ -17,11 +17,11 @@ from satdkit.vocab import (
     CandidateToken,
     Vocabulary,
     WordCache,
-    apply_denylist,
     augment_vocabulary,
     char_base_vocabulary,
     discover_candidate_tokens,
     load_base_vocabulary,
+    load_denylist,
     save_vocabulary,
     tokenize,
     write_candidate_report,
@@ -139,23 +139,15 @@ def test_discovery_order_independent():
     assert forward == backward
 
 
-def test_apply_denylist(tmp_path):
-    candidates = [
-        CandidateToken("ns", 10, 0.5),
-        CandidateToken("li", 8, 0.4),
-        CandidateToken("hack", 6, 0.3),
-    ]
+def test_load_denylist(tmp_path):
     deny = tmp_path / "deny.txt"
-    deny.write_text("ns\nli\n", encoding="utf-8")
-    assert [c.token for c in apply_denylist(candidates, deny)] == ["hack"]
+    deny.write_text("ns\n  li \n\n", encoding="utf-8")
+    assert load_denylist(deny) == {"ns", "li"}
     empty = tmp_path / "empty.txt"
     empty.write_text("", encoding="utf-8")
-    assert apply_denylist(candidates, empty) == candidates
-    unrelated = tmp_path / "unrelated.txt"
-    unrelated.write_text("absent\n", encoding="utf-8")
-    assert apply_denylist(candidates, unrelated) == candidates
+    assert load_denylist(empty) == frozenset()
     with pytest.raises(DataError, match="denylist"):
-        apply_denylist(candidates, tmp_path / "missing.txt")
+        load_denylist(tmp_path / "missing.txt")
 
 
 def test_augment_vocabulary():
