@@ -28,6 +28,7 @@ from .harness import (
     import_predictions,
     load_config_collection,
     prepare_run,
+    read_inputs,
     render_report,
     report_from_dict,
     vocabulary_candidates,
@@ -125,15 +126,15 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_vocab_build(args: argparse.Namespace) -> int:
-    run = prepare_run(_config_from_args(args))
-    project_words = WordCache().project_words(c for ds in run.collection for c in ds.comments)
-    candidates, n_denied = vocabulary_candidates(run, project_words)
-    vocab = augment_vocabulary(run.base, candidates)
+    inputs = read_inputs(_config_from_args(args))
+    project_words = WordCache().project_words(c for ds in inputs.collection for c in ds.comments)
+    candidates, n_denied = vocabulary_candidates(inputs, project_words)
+    vocab = augment_vocabulary(inputs.base, candidates)
     save_vocabulary(vocab, args.out)
     if args.candidates_csv:
         write_candidate_report(candidates, args.candidates_csv)
     print(
-        f"base {run.base.size} tokens + {len(candidates)} discovered "
+        f"base {inputs.base.size} tokens + {len(candidates)} discovered "
         f"({n_denied} denylisted) -> {vocab.size} tokens at {args.out}"
     )
     return 0

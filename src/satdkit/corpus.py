@@ -17,7 +17,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterator
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 
 log = logging.getLogger(__name__)
 
@@ -92,28 +92,30 @@ def load_label_mapping(path: str | Path) -> LabelMapping:
     for unmatched non-empty labels.
     """
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"label mapping file not found: {path}")
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read label mapping {path}: {exc}") from None
     rules: list[tuple[str, Label]] = []
     default: Label | None = None
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = strip_comment(raw)
         if not line:
             continue
         if "->" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'pattern -> SATD|NON_SATD'")
+            raise DataError(f"{path}:{lineno}: expected 'pattern -> SATD|NON_SATD'")
         pattern, _, target = line.partition("->")
         pattern = pattern.strip()
         target = target.strip()
         if target not in ("SATD", "NON_SATD"):
-            raise ConfigError(f"{path}:{lineno}: unknown target label {target!r}")
+            raise DataError(f"{path}:{lineno}: unknown target label {target!r}")
         label = Label.SATD if target == "SATD" else Label.NON_SATD
         if pattern == "*":
             default = label
         else:
             rules.append((pattern, label))
     if not rules and default is None:
-        raise ConfigError(f"{path}: mapping file defines no rules")
+        raise DataError(f"{path}: mapping file defines no rules")
     return LabelMapping(rules=tuple(rules), default=default)
 
 

@@ -509,20 +509,26 @@ def _unit_specs(
 
 
 @dataclass(frozen=True)
-class Run:
-    """A config with every input file it names read once, before any unit:
-    the corpus, its evaluation units and the resolved vocabulary inputs and
-    lexicons. Units read these, never the disk."""
+class RunInputs:
+    """A config with every input file it names read once: the corpus, the
+    resolved vocabulary inputs and the lexicons. Units read these, never
+    the disk."""
 
     config: ExperimentConfig
     collection: CorpusCollection  # every project of the manifest
     projects: tuple[ProjectDataset, ...]  # the ones the ``projects`` key selects
-    specs: tuple[UnitSpec, ...]
-    folds: dict  # the folds.json payload
-    base: Vocabulary
+    base: Vocabulary  # shared by every unit, so its word-piece memo is run-wide
     denylist: frozenset[str]
     dup_lexicon: TriggerLexicon
     mat_lexicon: TriggerLexicon
+
+
+@dataclass(frozen=True)
+class Run(RunInputs):
+    """Run inputs plus the evaluation units built from them, before any unit runs."""
+
+    specs: tuple[UnitSpec, ...]
+    folds: dict  # the folds.json payload
 
     @property
     def test_keys(self) -> list[tuple[str, int]]:
@@ -530,15 +536,15 @@ class Run:
         return [(c.project, c.id) for spec in self.specs for c in spec.test]
 
 
-def prepare_run(config: ExperimentConfig) -> Run:
-    """Load the corpus, build the units and read every input file the
-    config names; a missing or malformed file fails here, not in a unit."""
+def read_inputs(config: ExperimentConfig) -> RunInputs:
+    """Load the corpus and read every input file the config names; a missing
+    or malformed file fails here, not in a unit."""
     collection = load_config_collection(config)
-    selected = _select_projects(collection, config.projects)
-    specs, folds = _unit_specs(config, selected)
     mode = FUZZY if config.classifier == "mat_fuzzy" else STRICT
-    return Run(
-        config, collection, selected.projects, tuple(specs), folds,
+    return RunInputs(
+        config,
+        collection,
+        _select_projects(collection, config.projects).projects,
         base=load_base_vocabulary(config.vocab_base) if config.vocab_base
         else char_base_vocabulary(),
         denylist=load_denylist(config.vocab_denylist) if config.vocab_denylist
@@ -548,6 +554,15 @@ def prepare_run(config: ExperimentConfig) -> Run:
         mat_lexicon=load_lexicon(config.mat_lexicon, mode) if config.mat_lexicon
         else mat_lexicon(mode),
     )
+
+
+def prepare_run(config: ExperimentConfig) -> Run:
+    """The run inputs (see ``read_inputs``) and the evaluation units."""
+    inputs = read_inputs(config)
+    selected = CorpusCollection(name=inputs.collection.name, projects=inputs.projects)
+    specs, folds = _unit_specs(config, selected)
+    read = {f.name: getattr(inputs, f.name) for f in fields(inputs)}
+    return Run(**read, specs=tuple(specs), folds=folds)
 
 
 def _sampler_config(config: ExperimentConfig, unit_seed: int) -> SamplerConfig:
@@ -584,7 +599,7 @@ def training_stream(run: Run, spec: UnitSpec) -> tuple[Iterator[Batch], list[Com
 
 
 def vocabulary_candidates(
-    run: Run, project_words: list[set[str]]
+    run: RunInputs, project_words: list[set[str]]
 ) -> tuple[list[CandidateToken], int]:
     """The tokens discovered in the per-project word sets that survive the
     denylist, and how many it dropped."""
@@ -594,7 +609,7 @@ def vocabulary_candidates(
     return kept, len(found) - len(kept)
 
 
-def build_vocabulary(run: Run, project_words: list[set[str]]) -> Vocabulary:
+def build_vocabulary(run: RunInputs, project_words: list[set[str]]) -> Vocabulary:
     """Base vocabulary plus the tokens discovered in the per-project word
     sets (see ``WordCache.project_words``) minus the denylist.
 

@@ -77,7 +77,10 @@ def load_lexicon(path: str | Path, mode: str = STRICT) -> TriggerLexicon:
 
 def _lower_keep_length(text: str) -> str:
     # Per-character lowercase; characters whose lowercase form changes length
-    # are left as-is so span offsets stay aligned with the input.
+    # are left as-is so span offsets stay aligned with the input. ASCII text
+    # lowercases character for character, so it takes the fast path.
+    if text.isascii():
+        return text.lower()
     out = []
     for ch in text:
         low = ch.lower()

@@ -12,12 +12,17 @@ Tokenization is the standard greedy longest-prefix scheme: non-initial
 pieces carry the ``##`` continuation marker, a word with no matching prefix
 (or longer than 100 characters) becomes a single UNK, and sequences are
 wrapped in CLS/SEP and truncated to a maximum length. Each vocabulary
-memoizes the pieces of every word it has tokenized.
+memoizes the pieces of every word it has tokenized. An augmented vocabulary
+also remembers its base: a word that is not a token itself and inside which
+no discovered token can match has the same pieces under both, so it is
+matched once in the base's memo and shared by every vocabulary built on that
+base (one run's units share one base, so the memo is run-wide).
 """
 
 from __future__ import annotations
 
 import csv
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -41,7 +46,11 @@ class Vocabulary:
     """Immutable token table: dense ids 0..size-1 in token-list order.
 
     ``pieces`` memoizes each tokenized word's piece ids (``(unk_id,)`` for an
-    UNK word); it is derived from the tokens, so it takes no part in equality.
+    UNK word). ``base`` is the vocabulary this one extends (its tokens are
+    this one's first ids); ``tokenize`` reads a word's pieces from the base's
+    memo when no token appended after the base can match inside the word.
+    Neither takes part in equality: the memo is derived from the tokens, and
+    the base only spares repeated matching.
     """
 
     tokens: tuple[str, ...]
@@ -49,9 +58,12 @@ class Vocabulary:
     pieces: dict[str, tuple[int, ...]] = field(
         default_factory=dict, compare=False, repr=False
     )
+    base: "Vocabulary | None" = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def from_tokens(cls, tokens: list[str] | tuple[str, ...]) -> "Vocabulary":
+    def from_tokens(
+        cls, tokens: list[str] | tuple[str, ...], base: "Vocabulary | None" = None
+    ) -> "Vocabulary":
         tokens = tuple(tokens)
         index: dict[str, int] = {}
         for i, token in enumerate(tokens):
@@ -65,7 +77,7 @@ class Vocabulary:
         missing = [s for s in SPECIALS if s not in index]
         if missing:
             raise DataError(f"vocabulary is missing special tokens: {missing}")
-        return cls(tokens=tokens, index=index)
+        return cls(tokens=tokens, index=index, base=base)
 
     @property
     def size(self) -> int:
@@ -86,6 +98,48 @@ class Vocabulary:
     @cached_property
     def special_ids(self) -> frozenset[int]:
         return frozenset(self.index[s] for s in SPECIALS)
+
+    @cached_property
+    def _appended(self) -> tuple[_PrefixSet, _PrefixSet]:
+        # the tokens after the base, and the bodies of the ``##`` ones
+        tokens = self.tokens[self.base.size:] if self.base else ()
+        bodies = [
+            t[len(CONTINUATION_PREFIX):] for t in tokens
+            if t.startswith(CONTINUATION_PREFIX) and len(t) > len(CONTINUATION_PREFIX)
+        ]
+        return _PrefixSet(tokens), _PrefixSet(bodies)
+
+    def appended_can_match(self, word: str) -> bool:
+        """Whether a token appended after the base can match inside ``word``:
+        as its prefix, or (a ``##`` token) at any later position."""
+        heads, bodies = self._appended
+        return heads.has_prefix_of(word) or (
+            bool(bodies.ordered)
+            and any(bodies.has_prefix_of(word[i:]) for i in range(1, len(word)))
+        )
+
+
+class _PrefixSet:
+    """Strings that answer whether one of them is a prefix of a text.
+
+    In sorted order a member's prefixes among the members come before it,
+    and every member between a prefix and its extension starts with that
+    prefix. So the largest member <= a text starts with every member that
+    is a prefix of the text, and its shortest member prefix decides.
+    """
+
+    def __init__(self, members: Iterable[str]) -> None:
+        self.ordered = sorted(members)
+        self.roots: list[str] = []  # each member's shortest member prefix
+        root = None
+        for s in self.ordered:
+            if root is None or not s.startswith(root):
+                root = s
+            self.roots.append(root)
+
+    def has_prefix_of(self, text: str) -> bool:
+        i = bisect_right(self.ordered, text)
+        return i > 0 and text.startswith(self.roots[i - 1])
 
 
 @dataclass(frozen=True)
@@ -197,7 +251,7 @@ def augment_vocabulary(base: Vocabulary, finals: list[CandidateToken]) -> Vocabu
     for c in finals:
         if c.token in base.index:
             raise DataError(f"candidate token {c.token!r} collides with an existing token")
-    return Vocabulary.from_tokens(base.tokens + tuple(c.token for c in finals))
+    return Vocabulary.from_tokens(base.tokens + tuple(c.token for c in finals), base=base)
 
 
 def write_candidate_report(candidates: list[CandidateToken], path: str | Path) -> None:
@@ -235,6 +289,28 @@ def _word_piece_ids(vocab: Vocabulary, word: str) -> list[int] | None:
     return pieces
 
 
+def _piece_ids(vocab: Vocabulary, word: str) -> tuple[int, ...]:
+    """``word``'s piece ids under ``vocab`` on a miss in ``vocab.pieces``,
+    which then memoizes them.
+
+    A word over the length cap is UNK and a token is its own piece; a word
+    that no appended token can touch takes the base's pieces (base ids are
+    unchanged), and only the rest run greedy matching.
+    """
+    base = vocab.base
+    if len(word) > MAX_WORD_CHARS:
+        pieces: tuple[int, ...] = (vocab.unk_id,)
+    elif word in vocab.index:
+        pieces = (vocab.index[word],)
+    elif base is not None and not vocab.appended_can_match(word):
+        pieces = base.pieces.get(word) or _piece_ids(base, word)
+    else:
+        found = _word_piece_ids(vocab, word)
+        pieces = (vocab.unk_id,) if found is None else tuple(found)
+    vocab.pieces[word] = pieces
+    return pieces
+
+
 def tokenize(
     vocab: Vocabulary,
     words: Iterable[str],
@@ -250,11 +326,7 @@ def tokenize(
     memo = vocab.pieces
     piece_ids: list[int] = []
     for word in words:
-        pieces = memo.get(word)
-        if pieces is None:
-            found = _word_piece_ids(vocab, word)
-            pieces = memo[word] = (vocab.unk_id,) if found is None else tuple(found)
-        piece_ids.extend(pieces)
+        piece_ids.extend(memo.get(word) or _piece_ids(vocab, word))
     truncated = len(piece_ids) + 2 > max_seq_len
     if truncated:
         piece_ids = piece_ids[: max_seq_len - 2]

@@ -89,7 +89,9 @@ def test_run_logs_to_stderr_only_when_verbose(tmp_path, verbose):
         assert "DEBUG" not in log
 
 
-@pytest.mark.parametrize("key", ["vocab_base", "vocab_denylist", "dup_lexicon", "mat_lexicon"])
+@pytest.mark.parametrize(
+    "key", ["vocab_base", "vocab_denylist", "dup_lexicon", "mat_lexicon", "label_mapping"]
+)
 def test_missing_input_file_fails_run_before_any_unit(tmp_path, capsys, key):
     # the linear dup_fmr run reads every file but the keyword lexicon, which
     # it must still find
@@ -139,6 +141,20 @@ def test_vocab_build_and_inspect(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "size:" in out
     assert "[UNK]=0" in out
+
+
+def test_vocab_build_needs_no_splittable_units(tmp_path, capsys):
+    # 6 comments cannot be split into the default 10 folds, which fails a
+    # run; vocab build reads the corpus but builds no units
+    manifest = write_corpus(tmp_path / "data", {
+        "Big": planted_rows(1, 40, 4), "Tiny": planted_rows(2, 6, 1),
+    })
+    assert main(["run", "--manifest", str(manifest), "--outdir", str(tmp_path / "runs")]) == 2
+    capsys.readouterr()
+    vocab_path = tmp_path / "vocab.txt"
+    assert main(["vocab", "build", "--manifest", str(manifest), "--out", str(vocab_path)]) == 0
+    assert "discovered" in capsys.readouterr().out
+    assert vocab_path.exists()
 
 
 def test_export_and_import_commands(tmp_path, capsys):

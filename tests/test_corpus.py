@@ -14,7 +14,7 @@ from satdkit.corpus import (
     load_label_mapping,
     load_project,
 )
-from satdkit.errors import ConfigError, DataError
+from satdkit.errors import DataError
 
 MAPPING = LabelMapping.standard()
 
@@ -250,8 +250,13 @@ def test_load_label_mapping_hash_inside_pattern(tmp_path):
 def test_load_label_mapping_bad_target(tmp_path):
     path = tmp_path / "mapping.txt"
     path.write_text("FOO -> MAYBE\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="unknown target"):
+    with pytest.raises(DataError, match="unknown target"):
         load_label_mapping(path)
+    path.write_bytes(b"\xff -> SATD\n")
+    with pytest.raises(DataError, match="cannot read label mapping"):
+        load_label_mapping(path)
+    with pytest.raises(DataError, match="cannot read label mapping"):
+        load_label_mapping(tmp_path)
 
 
 def test_comment_invariants():

@@ -228,3 +228,24 @@ def test_find_triggers_matches_reference_scanner():
         for _ in range(10):
             text = "".join(rng.choice(_TEXT_PIECES) for _ in range(rng.randint(0, 12)))
             assert find_triggers(lex, text) == _reference_find_triggers(lex, text), (lex, text)
+
+
+def _reference_lower_keep_length(text):
+    return "".join(low if len(low := ch.lower()) == 1 else ch for ch in text)
+
+
+def test_lower_keep_length_matches_per_character_loop():
+    # ASCII strings take the str.lower fast path; the rest mix in U+0130 (its
+    # lowercase form is two characters), long s and the Kelvin sign
+    rng = random.Random(2021)
+    ascii_pool = [chr(c) for c in range(128)]
+    pool = ascii_pool + ["İ", "ſ", "K"]
+    n_ascii = 0
+    for i in range(20_000):
+        chars = ascii_pool if i % 2 else pool
+        text = "".join(rng.choice(chars) for _ in range(rng.randint(0, 40)))
+        n_ascii += text.isascii()
+        low = _lower_keep_length(text)
+        assert low == _reference_lower_keep_length(text), text
+        assert len(low) == len(text)
+    assert 10_000 <= n_ascii < 20_000

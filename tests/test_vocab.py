@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import satdkit.vocab
 from helpers import (
     collection_words,
     coverage_base_vocab,
@@ -9,7 +10,9 @@ from helpers import (
     coverage_random_comment,
     coverage_word,
     make_comment,
+    write_corpus,
 )
+from satdkit import harness
 from satdkit.corpus import CorpusCollection, Label, ProjectDataset
 from satdkit.errors import DataError
 from satdkit.vocab import (
@@ -232,6 +235,124 @@ def test_memoized_tokenize_matches_fresh_word_pieces():
         for word in chunk:
             expected.extend(_word_piece_ids(vocab, word) or [vocab.unk_id])
         assert list(tokenize(vocab, chunk, max_seq_len=1024).ids[1:-1]) == expected
+
+
+# Discovered tokens of two unit vocabularies over one base: nested prefixes
+# (hack/hackathon, hackath/hackathon), "##" tokens, a token over the length
+# cap and tokens of characters the custom base cannot piece together.
+_UNIT_TOKENS = (
+    ("hack", "hackathon", "##ing", "on", "x" * 105, "zz"),
+    ("hackathon", "hackath", "##thon", "##ing", "zz\xe9"),
+)
+_FRAGMENTS = ("hack", "hackathon", "ath", "on", "ing", "thon", "ha", "ck", "a", "t",
+              "g", "i", "n", "x", "z", "zz", "\xe9", "##", "#")
+
+
+def _custom_base():
+    # multi-character and "##" tokens; no "z" or "\xe9", so words using them
+    # are UNK unless a discovered token covers them
+    return toy_vocab(
+        "h", "a", "c", "k", "t", "o", "n", "i", "g", "x", "#", "ha", "ck",
+        "##h", "##a", "##c", "##k", "##t", "##o", "##n", "##i", "##g", "##x", "##ck",
+        "##ng", "##at", "###",
+    )
+
+
+def _fuzzed_words(seed, n):
+    rng = random.Random(seed)
+    words = ["".join(rng.choice(_FRAGMENTS) for _ in range(rng.randint(1, 6))) for _ in range(n)]
+    words += ["".join(rng.choice(_FRAGMENTS) for _ in range(40))[:rng.randint(101, 130)]
+              for _ in range(20)]
+    return words + ["x" * 105, "x" * 100, "hack" * 30, "hackathon" * 11, "hackathon" * 12]
+
+
+@pytest.mark.parametrize("make_base", [char_base_vocabulary, _custom_base])
+@pytest.mark.parametrize("warm_base", [True, False])
+def test_shared_memo_matches_fresh_word_pieces(make_base, warm_base):
+    # every unit vocabulary reads the base's memo for the words its
+    # discovered tokens cannot touch; the oracle is greedy matching on an
+    # unshared copy of each vocabulary
+    base = make_base()
+    units = [
+        augment_vocabulary(base, [CandidateToken(t, 2, 0.5) for t in tokens])
+        for tokens in _UNIT_TOKENS
+    ]
+    unshared = [Vocabulary.from_tokens(v.tokens) for v in units]
+    words = _fuzzed_words(seed=len(base.tokens), n=4000)
+    if warm_base:
+        for word in words:
+            tokenize(base, [word])
+        assert len(base.pieces) == len(set(words))
+    seen = set()
+    for _ in range(2):  # the second pass reads every word from the memos
+        for word in words:
+            for vocab, oracle, tokens in zip(units, unshared, _UNIT_TOKENS):
+                assert vocab.appended_can_match(word) == _touches(word, tokens), word
+                fresh = _word_piece_ids(oracle, word)
+                expected = (vocab.unk_id,) if fresh is None else tuple(fresh)
+                assert tokenize(vocab, [word], max_seq_len=256).ids[1:-1] == expected, word
+                seen.update(vocab.tokens[i] for i in expected)
+    assert base.pieces
+    assert {"hack", "hackathon", "hackath", "##ing", "##thon", "zz", "[UNK]"} <= seen
+    assert "x" * 105 not in seen  # a token over the length cap is still UNK
+
+
+def _touches(word, tokens):
+    # brute force: a token can match as the word's prefix, or as a "##"
+    # piece anywhere after its first character
+    return any(word.startswith(t) for t in tokens) or any(
+        t.startswith("##") and len(t) > 2 and t[2:] in word[1:] for t in tokens
+    )
+
+
+def test_cross_run_matches_each_word_once(tmp_path, monkeypatch):
+    # six projects with mostly project-specific words; the few shared ones
+    # are discovered in every unit, and only the words they touch need a
+    # unit's own greedy match
+    rng = random.Random(11)
+    shared = ["hack", "parse", "##ab", "todo"]
+    projects = {}
+    for p in range(6):
+        own = ["".join(rng.choice("abcdefghijklmnop") for _ in range(rng.randint(4, 9)))
+               for _ in range(40)]
+        own += ["hack" + w for w in own[:5]] + ["q##ab"]
+        rows = []
+        for i in range(30):
+            words = rng.sample(own, 4) + [rng.choice(shared[:3])]
+            if i % 5 == 0:
+                words.append("todo")
+            rows.append((" ".join(words), Label.SATD if i % 5 == 0 else Label.NON_SATD))
+        projects[f"P{p}"] = rows
+    manifest = write_corpus(tmp_path, projects)
+    config = harness.build_config(overrides={
+        "manifest": str(manifest), "scenario": "cross", "classifier": "linear",
+        "epochs": "1", "seed": "1", "outdir": str(tmp_path / "runs"),
+    })
+    calls = []
+    word_piece_ids = satdkit.vocab._word_piece_ids
+
+    def counted_word_piece_ids(vocab, word):
+        calls.append(word)
+        return word_piece_ids(vocab, word)
+
+    appended = []  # each unit's discovered tokens
+    build_vocabulary = harness.build_vocabulary
+
+    def recorded_build_vocabulary(run, project_words):
+        vocab = build_vocabulary(run, project_words)
+        appended.append(vocab.tokens[run.base.size:])
+        return vocab
+
+    monkeypatch.setattr(satdkit.vocab, "_word_piece_ids", counted_word_piece_ids)
+    monkeypatch.setattr(harness, "build_vocabulary", recorded_build_vocabulary)
+    report = harness.run_experiment(harness.prepare_run(config))
+    assert all(u.error is None for p in report.projects for u in p.units)
+    assert len(appended) == 6
+    words = set().union(*(WORDS[text] for rows in projects.values() for text, _ in rows))
+    touched = sum(_touches(word, tokens) for tokens in appended for word in words)
+    assert 0 < touched < len(words)
+    assert 0 < len(calls) <= len(words) + touched
+    assert any("##ab" in tokens for tokens in appended)
 
 
 def test_tokenize_truncation_keeps_cls_sep():
