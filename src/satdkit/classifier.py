@@ -71,36 +71,34 @@ def train_linear(
     b = 0.0
     # the feature ids of each distinct comment text, as an index array
     feats_of: dict[str, np.ndarray] = {}
-    for batch in stream:
-        cols = []
-        for c in batch.items:
-            f = feats_of.get(c.text)
-            if f is None:
-                feats = presence_features(vocab, words[c.text], max_seq_len)
-                f = feats_of[c.text] = np.array(feats, dtype=np.intp)
-            cols.append(f)
-        y = np.array([c.label is Label.SATD for c in batch.items], dtype=np.float64)
-        # one reduce per row, which adds pairwise; reduceat or a sparse
-        # matvec would add sequentially and move the last bits of z
-        z = np.fromiter([np.add.reduce(w[f]) for f in cols], np.float64, len(cols)) + b
-        p = expit(z)
-        # stable BCE: log(1+e^z) - y*z, plus the quadratic penalty; overflow
-        # to inf is intentional here, it is what the finiteness check catches
-        with np.errstate(over="ignore"):
+    # overflow to inf is what the loss's finiteness check catches; one errstate per fit
+    with np.errstate(over="ignore"):
+        for batch in stream:
+            cols = []
+            for c in batch.items:
+                f = feats_of.get(c.text)
+                if f is None:
+                    feats = presence_features(vocab, words[c.text], max_seq_len)
+                    f = feats_of[c.text] = np.array(feats, dtype=np.intp)
+                cols.append(f)
+            y = np.array([c.label is Label.SATD for c in batch.items], dtype=np.float64)
+            # one reduce per row, which adds pairwise; reduceat or a sparse
+            # matvec would add sequentially and move the last bits of z
+            z = np.fromiter([np.add.reduce(w[f]) for f in cols], np.float64, len(cols)) + b
+            p = expit(z)
+            # stable BCE: log(1+e^z) - y*z, plus the quadratic penalty
             loss = float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * hyper.l2 * float(w @ w))
-        if not np.isfinite(loss):
-            raise RunError(
-                f"non-finite loss at epoch {batch.epoch} batch {batch.batch_index}"
-            )
-        g = p - y
-        # each feature sums its items' g from 0.0 in item order (bincount
-        # returns ints when no item has a feature; the division makes floats)
-        lens = [len(f) for f in cols]
-        grad = np.bincount(
-            np.concatenate(cols), weights=np.repeat(g, lens), minlength=vocab.size
-        ) / len(y)
-        w = (1.0 - hyper.learning_rate * hyper.l2) * w - hyper.learning_rate * grad
-        b -= hyper.learning_rate * float(g.mean())
+            if not np.isfinite(loss):
+                raise RunError(f"non-finite loss at epoch {batch.epoch} batch {batch.batch_index}")
+            g = p - y
+            # each feature sums its items' g from 0.0 in item order (bincount
+            # returns ints when no item has a feature; the division makes floats)
+            lens = [len(f) for f in cols]
+            grad = np.bincount(
+                np.concatenate(cols), weights=np.repeat(g, lens), minlength=vocab.size
+            ) / len(y)
+            w = (1.0 - hyper.learning_rate * hyper.l2) * w - hyper.learning_rate * grad
+            b -= hyper.learning_rate * float(g.mean())
     return LinearModelState(weights=w, bias=b)
 
 

@@ -13,11 +13,10 @@ import argparse
 import json
 import logging
 import sys
-from pathlib import Path
 
 from . import __version__
 from .corpus import format_stats_table
-from .errors import ConfigError, DataError, RunError, SatdkitError
+from .errors import ConfigError, DataError, RunError, SatdkitError, read_input
 from .harness import (
     CONFIG_KEYS,
     REPORT_FORMATS,
@@ -180,9 +179,10 @@ def cmd_import_predictions(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    text = read_input(args.report, "report")
     try:
-        report = report_from_dict(json.loads(Path(args.report).read_text(encoding="utf-8")))
-    except (DataError, OSError, ValueError) as exc:
+        report = report_from_dict(json.loads(text))
+    except (DataError, ValueError) as exc:
         raise DataError(f"{args.report}: not a readable report ({exc})") from None
     out = render_report(report, args.format, args.out)
     print(f"wrote {out}")

@@ -10,6 +10,7 @@ labels used everywhere else in the package.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import re
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterator
 
-from .errors import DataError
+from .errors import DataError, read_input
 
 log = logging.getLogger(__name__)
 
@@ -91,11 +92,7 @@ def load_label_mapping(path: str | Path) -> LabelMapping:
     Comments follow :func:`strip_comment`; the pattern ``*`` sets the default
     for unmatched non-empty labels.
     """
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read label mapping {path}: {exc}") from None
+    lines = read_input(path, "label mapping").splitlines()
     rules: list[tuple[str, Label]] = []
     default: Label | None = None
     for lineno, raw in enumerate(lines, start=1):
@@ -185,43 +182,41 @@ def load_project(path: str | Path, mapping: LabelMapping, project_name: str) -> 
     other malformed row aborts the load with its record number. Comment ids
     are 0-based row indices after rejection filtering.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"dataset file not found: {path}")
+    rows: list[list[str]] = []
+    try:
+        rows.extend(csv.reader(io.StringIO(read_input(path, "dataset file"), newline="")))
+    except csv.Error as exc:
+        raise DataError(f"{path}: row {len(rows) + 1}: {exc}") from None
+    if len(rows) < 2:
+        raise DataError(f"{path}: no rows")
+    header, *body = rows
+    if tuple(h.strip() for h in header) != CSV_HEADER:
+        raise DataError(
+            f"{path}: expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
+        )
     comments: list[Comment] = []
     n_rejected = 0
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: no rows")
-        if tuple(h.strip() for h in header) != CSV_HEADER:
+    for row_num, row in enumerate(body, start=2):
+        if len(row) != 3:
+            raise DataError(f"{path}: row {row_num}: expected 3 fields, got {len(row)}")
+        row_project, text, raw_label = row
+        if row_project and row_project != project_name:
             raise DataError(
-                f"{path}: expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
+                f"{path}: row {row_num}: project field {row_project!r} "
+                f"does not match {project_name!r}"
             )
-        for row_num, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise DataError(f"{path}: row {row_num}: expected 3 fields, got {len(row)}")
-            row_project, text, raw_label = row
-            if row_project and row_project != project_name:
-                raise DataError(
-                    f"{path}: row {row_num}: project field {row_project!r} "
-                    f"does not match {project_name!r}"
-                )
-            if not text.strip():
-                log.warning("%s: row %d rejected (empty comment text)", path, row_num)
-                n_rejected += 1
-                continue
-            try:
-                label = mapping.map(raw_label)
-            except DataError as exc:
-                raise DataError(f"{path}: row {row_num}: {exc}") from None
-            comments.append(
-                Comment(id=len(comments), project=project_name, text=text,
-                        label=label, raw_label=raw_label)
-            )
-    if not comments and n_rejected == 0:
-        raise DataError(f"{path}: no rows")
+        if not text.strip():
+            log.warning("%s: row %d rejected (empty comment text)", path, row_num)
+            n_rejected += 1
+            continue
+        try:
+            label = mapping.map(raw_label)
+        except DataError as exc:
+            raise DataError(f"{path}: row {row_num}: {exc}") from None
+        comments.append(
+            Comment(id=len(comments), project=project_name, text=text,
+                    label=label, raw_label=raw_label)
+        )
     if not comments:
         raise DataError(f"{path}: no usable rows ({n_rejected} rejected)")
     return ProjectDataset(project_name, tuple(comments), n_rejected=n_rejected)
@@ -235,10 +230,8 @@ def parse_manifest(path: str | Path) -> list[tuple[str, Path]]:
     or contain ``/`` or ``\\``.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"manifest not found: {path}")
     entries: list[tuple[str, Path]] = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(read_input(path, "manifest").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -1,8 +1,17 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one reader of
+input files.
 
 The three concrete classes map onto the CLI exit codes: ConfigError -> 1,
-DataError -> 2, RunError -> 3.
+DataError -> 2, RunError -> 3. ``read_input`` reads every input file (the
+dataset CSVs, manifest, label mapping, base vocabulary, denylist, lexicons,
+predictions, a saved report and the config file) as UTF-8 without a leading
+byte-order mark, keeping line ends as written. A file that is missing,
+unreadable (a directory, say) or not UTF-8 is one DataError naming its role
+and path, raised before any parsing; the config file re-raises it as a
+ConfigError.
 """
+
+from pathlib import Path
 
 
 class SatdkitError(Exception):
@@ -19,3 +28,16 @@ class DataError(SatdkitError):
 
 class RunError(SatdkitError):
     """Failure while executing a training run or writing its outputs."""
+
+
+def read_input(path: str | Path, role: str) -> str:
+    """The text of the input file at ``path``; ``role`` names it in errors."""
+    try:
+        with Path(path).open(encoding="utf-8-sig", newline="") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise DataError(f"{role} not found: {path}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {role} {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {role} {path}: not UTF-8 ({exc.reason})") from None

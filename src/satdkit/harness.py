@@ -59,7 +59,7 @@ from .corpus import (
     load_label_mapping,
     strip_comment,
 )
-from .errors import ConfigError, DataError, RunError, SatdkitError
+from .errors import ConfigError, DataError, RunError, SatdkitError, read_input
 from .evalkit import (
     MetricResult,
     compute_metrics,
@@ -200,11 +200,12 @@ CONFIG_KEYS = tuple(_FIELD_PARSERS)
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Read a flat ``key = value`` config file; ``#`` comments as in ``strip_comment``."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        text = read_input(path, "config file")
+    except DataError as exc:
+        raise ConfigError(str(exc)) from None
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = strip_comment(line)
         if not stripped:
             continue
@@ -679,10 +680,18 @@ def run_experiment(run: Run) -> EvalReport:
     A unit that fails is recorded with an error marker and excluded from the
     aggregates; the rest of the grid still runs.
     """
+    return _run_units(run, _external_predictions(run))
+
+
+def _external_predictions(run: Run) -> dict[tuple[str, int], float] | None:
+    # not read by prepare_run, which export_batches calls before the file exists
+    if run.config.classifier == "external":
+        return import_predictions(run.config.predictions_path, expected=run.test_keys)
+    return None
+
+
+def _run_units(run: Run, predictions: dict[tuple[str, int], float] | None) -> EvalReport:
     config = run.config
-    predictions = None
-    if config.classifier == "external":
-        predictions = import_predictions(config.predictions_path, expected=run.test_keys)
     words = WordCache()
     shared_vocab = None
     if config.classifier == "linear" and config.vocab_scope == "all":
@@ -773,47 +782,33 @@ def import_predictions(
     When ``expected`` pairs are given, the map must cover all of them; any
     missing pairs are listed in the error.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"predictions file not found: {path}")
     predictions: dict[tuple[str, int], float] = {}
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: line {lineno}: invalid JSON ({exc})") from None
-            if not isinstance(record, dict) or not {"project", "id", "score"} <= record.keys():
-                raise DataError(
-                    f"{path}: line {lineno}: expected keys project, id, score"
-                )
-            comment_id = record["id"]
-            if isinstance(comment_id, bool) or not isinstance(comment_id, int):
-                raise DataError(
-                    f"{path}: line {lineno}: id must be an integer, got {comment_id!r}"
-                )
-            project, score = record["project"], record["score"]
-            if not isinstance(project, str):
-                raise DataError(
-                    f"{path}: line {lineno}: project must be a string, got {project!r}"
-                )
-            if isinstance(score, bool) or not isinstance(score, (int, float)):
-                raise DataError(
-                    f"{path}: line {lineno}: score must be a number, got {score!r}"
-                )
-            key = (project, comment_id)
-            score = float(score)
-            if not 0.0 <= score <= 1.0:
-                raise DataError(
-                    f"{path}: line {lineno}: score {score} outside [0, 1]"
-                )
-            if key in predictions:
-                raise DataError(
-                    f"{path}: line {lineno}: duplicate prediction for {key}"
-                )
-            predictions[key] = score
+    # lines end at \n, \r\n or \r; str.splitlines would also split at \u2028
+    lines = io.StringIO(read_input(path, "predictions file"), newline=None)
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: line {lineno}: invalid JSON ({exc})") from None
+        if not isinstance(record, dict) or not {"project", "id", "score"} <= record.keys():
+            raise DataError(f"{path}: line {lineno}: expected keys project, id, score")
+        comment_id = record["id"]
+        if isinstance(comment_id, bool) or not isinstance(comment_id, int):
+            raise DataError(f"{path}: line {lineno}: id must be an integer, got {comment_id!r}")
+        project, score = record["project"], record["score"]
+        if not isinstance(project, str):
+            raise DataError(f"{path}: line {lineno}: project must be a string, got {project!r}")
+        if isinstance(score, bool) or not isinstance(score, (int, float)):
+            raise DataError(f"{path}: line {lineno}: score must be a number, got {score!r}")
+        key = (project, comment_id)
+        score = float(score)
+        if not 0.0 <= score <= 1.0:
+            raise DataError(f"{path}: line {lineno}: score {score} outside [0, 1]")
+        if key in predictions:
+            raise DataError(f"{path}: line {lineno}: duplicate prediction for {key}")
+        predictions[key] = score
     if expected is not None:
         missing = [pair for pair in expected if pair not in predictions]
         if missing:
@@ -835,6 +830,7 @@ def execute_run(config: ExperimentConfig) -> Path:
     goes to log.txt only.
     """
     run = prepare_run(config)
+    predictions = _external_predictions(run)  # a run that cannot start leaves no directory
     run_dir = Path(config.outdir) / config.digest()
     run_dir.mkdir(parents=True, exist_ok=True)
     handler = logging.FileHandler(run_dir / "log.txt", mode="w", encoding="utf-8")
@@ -846,7 +842,7 @@ def execute_run(config: ExperimentConfig) -> Path:
         pkg_logger.setLevel(logging.INFO)
     try:
         log.info("run starting: digest=%s scenario=%s", config.digest(), config.scenario)
-        report = run_experiment(run)
+        report = _run_units(run, predictions)
         _atomic_write(run_dir / "report.json", report_to_json(report))
         _atomic_write(run_dir / "report.csv", render_csv(report))
         _atomic_write(run_dir / "report.md", render_markdown(report))

@@ -15,7 +15,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .corpus import strip_comment
-from .errors import DataError
+from .errors import DataError, read_input
 
 STRICT = "strict"
 FUZZY = "fuzzy"
@@ -62,14 +62,8 @@ def dup_lexicon(mode: str = STRICT) -> TriggerLexicon:
 
 def load_lexicon(path: str | Path, mode: str = STRICT) -> TriggerLexicon:
     """Read a lexicon file: one trigger per line, ``#`` comments as in config files."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"lexicon file not found: {path}")
-    triggers = set()
-    for raw in path.read_text(encoding="utf-8").splitlines():
-        line = strip_comment(raw)
-        if line:
-            triggers.add(line.lower())
+    lines = map(strip_comment, read_input(path, "lexicon file").splitlines())
+    triggers = {line.lower() for line in lines if line}
     if not triggers:
         raise DataError(f"{path}: lexicon file contains no triggers")
     return TriggerLexicon(triggers=frozenset(triggers), mode=mode)

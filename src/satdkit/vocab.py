@@ -22,6 +22,7 @@ base (one run's units share one base, so the memo is run-wide).
 from __future__ import annotations
 
 import csv
+import io
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
-from .errors import DataError
+from .errors import DataError, read_input
 from .preprocess import segment_words, split_identifiers
 
 CONTINUATION_PREFIX = "##"
@@ -161,11 +162,9 @@ class TokenSequence:
 
 def load_base_vocabulary(path: str | Path) -> Vocabulary:
     """Read a one-token-per-line vocabulary file; line number = token id."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"vocabulary file not found: {path}")
-    with path.open(encoding="utf-8") as fh:
-        tokens = [line.rstrip("\n") for line in fh]
+    # lines end at \n, \r\n or \r only: a token holding \x0c is rejected, not split
+    text = read_input(path, "vocabulary file")
+    tokens = [line.rstrip("\n") for line in io.StringIO(text, newline=None)]
     if tokens and tokens[-1] == "":
         tokens.pop()
     try:
@@ -238,11 +237,7 @@ def discover_candidate_tokens(
 
 def load_denylist(path: str | Path) -> frozenset[str]:
     """The tokens of a denylist file (one per line), which discovery must not add."""
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read denylist {path}: {exc}") from None
+    lines = read_input(path, "denylist").splitlines()
     return frozenset(line.strip() for line in lines if line.strip())
 
 

@@ -107,6 +107,62 @@ def test_missing_input_file_fails_run_before_any_unit(tmp_path, capsys, key):
     assert not list(tmp_path.rglob("report.json"))
 
 
+# every input file of a run, by the flag that names it; "dataset" is a
+# project CSV the manifest names, "predictions" the external classifier's
+INPUT_FILES = [
+    "config", "manifest", "dataset", "label_mapping", "vocab_base", "vocab_denylist",
+    "dup_lexicon", "mat_lexicon", "predictions",
+]
+
+
+@pytest.mark.parametrize("fault", ["missing", "directory", "not_utf8"])
+@pytest.mark.parametrize("role", INPUT_FILES)
+def test_unreadable_input_file_fails_before_any_output(tmp_path, capsys, role, fault):
+    manifest = write_planted_corpus(tmp_path / "data", n_total=40, n_satd=4, seed=4)
+    bad = tmp_path / "bad.txt"
+    if fault == "directory":
+        bad.mkdir()
+    elif fault == "not_utf8":
+        bad.write_bytes(b"\xff\xfebad\n")
+    flags = {
+        "manifest": manifest, "classifier": "linear", "augmentation": "dup_fmr",
+        "k": "4", "epochs": "1", "outdir": tmp_path / "runs",
+    }
+    if role == "dataset":
+        manifest.write_text(f"Planted\t{bad}\n", encoding="utf-8")
+    elif role == "predictions":
+        flags.update(classifier="external", export_path=tmp_path / "export",
+                     predictions_path=bad)
+    else:
+        flags[role] = bad
+    argv = ["run", *(f for key, value in flags.items()
+                     for f in (f"--{key.replace('_', '-')}", str(value)))]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert out == ""
+    if role == "config":
+        assert code == 1 and err.startswith("config error: ")
+    else:
+        assert code == 2 and err.startswith("data error: ")
+    assert str(bad) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_run_with_incomplete_predictions_leaves_no_directory(tmp_path, capsys):
+    manifest = write_planted_corpus(tmp_path / "data", n_total=40, n_satd=4, seed=4)
+    predictions = tmp_path / "preds.jsonl"
+    predictions.write_text('{"project": "Planted", "id": 0, "score": 1.0}\n', encoding="utf-8")
+    code = main([
+        "run", "--manifest", str(manifest), "--classifier", "external", "--k", "4",
+        "--export-path", str(tmp_path / "export"), "--predictions-path", str(predictions),
+        "--outdir", str(tmp_path / "runs"),
+    ])
+    assert code == 2
+    assert "missing predictions" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("scenario", ["intra", "cross"])
 @pytest.mark.parametrize("name", ["a/b", "a\\b", "..", "."])
 def test_path_like_project_name_is_data_error(tmp_path, capsys, scenario, name):

@@ -69,6 +69,24 @@ def test_load_project_malformed_row_reports_number(tmp_path):
         load_project(path, MAPPING, "P")
 
 
+def test_load_project_crlf_keeps_quoted_line_ends(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_bytes(
+        b'project,comment,raw_label\r\nP,"// first\r\n// second",DESIGN\r\n'
+        b"P,plain,WITHOUT_CLASSIFICATION\r\n"
+    )
+    ds = load_project(path, MAPPING, "P")
+    assert [c.text for c in ds.comments] == ["// first\r\n// second", "plain"]
+    assert [c.label for c in ds.comments] == [Label.SATD, Label.NON_SATD]
+
+
+def test_load_project_oversized_field_names_file_and_row(tmp_path):
+    path = tmp_path / "p.csv"
+    write_dataset_csv(path, [("P", "ok", "DESIGN"), ("P", "x" * 131_073, "DESIGN")])
+    with pytest.raises(DataError, match=r"p\.csv: row 3: field larger than field limit"):
+        load_project(path, MAPPING, "P")
+
+
 def test_load_project_unmapped_label(tmp_path):
     path = tmp_path / "p.csv"
     write_dataset_csv(path, [("P", "text", "MYSTERY")])

@@ -75,6 +75,15 @@ def test_config_file_and_overrides(tmp_path):
     assert config.epochs == 2
 
 
+def test_config_file_with_byte_order_mark_and_crlf_reads_as_plain(tmp_path):
+    text = "manifest = m.tsv\r\nseed = 4  # note\r\nk = 9\r\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text.replace("\r\n", "\n"), encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert build_config(marked) == build_config(plain)
+    assert build_config(marked).seed == 4
+
+
 def test_config_unknown_key(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("mystery = 1\n", encoding="utf-8")
@@ -297,18 +306,28 @@ def test_each_input_file_is_read_once_per_run(tmp_path, monkeypatch):
     for key, (name, text) in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
         overrides[key] = str(tmp_path / name)
+    # the external case scores the same units from a predictions file
+    external = {
+        "classifier": "external", "export_path": str(tmp_path / "export"),
+        "predictions_path": str(tmp_path / "preds.jsonl"),
+    }
+    keys = prepare_run(build_config(overrides={**overrides, **external})).test_keys
+    (tmp_path / "preds.jsonl").write_text("".join(
+        json.dumps({"project": p, "id": i, "score": 0.0}) + "\n" for p, i in keys
+    ), encoding="utf-8")
     opened = Counter()
     original = Path.open
     monkeypatch.setattr(
         Path, "open", lambda self, *a, **kw: opened.update([self.name]) or original(self, *a, **kw)
     )
-    report = json.loads((execute_run(build_config(overrides=overrides)) / "report.json")
-                        .read_text(encoding="utf-8"))
-    units = [u for p in report["projects"] for u in p["units"]]
-    assert len(units) == 30 and all(u["error"] is None for u in units)
-    assert {name: opened[name] for name, _ in files.values()} == {
-        name: 1 for name, _ in files.values()
-    }
+    names = [name for name, _ in files.values()]
+    for extra, read in (({}, names), (external, [*names, "preds.jsonl"])):
+        opened.clear()
+        run_dir = execute_run(build_config(overrides={**overrides, **extra}))
+        report = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
+        units = [u for p in report["projects"] for u in p["units"]]
+        assert len(units) == 30 and all(u["error"] is None for u in units)
+        assert {name: opened[name] for name in read} == {name: 1 for name in read}
 
 
 def test_run_cross_linear_pattern_transfers(tmp_path):
@@ -717,6 +736,20 @@ def test_external_missing_prediction_fails(tmp_path):
     })
     with pytest.raises(DataError, match="missing predictions"):
         run_experiment(prepare_run(config))
+
+
+def test_overflowing_fit_fails_every_unit_with_non_finite_loss(tmp_path):
+    # the first step moves the weights to ~1e300, so the second batch's
+    # penalty overflows; under -W error numpy must not warn on the way
+    manifest = write_planted_corpus(tmp_path / "data", n_total=80, n_satd=8, seed=2)
+    config = build_config(overrides={
+        "manifest": str(manifest), "scenario": "intra", "k": "4", "seed": "1",
+        "classifier": "linear", "epochs": "1", "learning_rate": "1e300",
+    })
+    units = [u for p in run_experiment(prepare_run(config)).projects for u in p.units]
+    assert len(units) == 4
+    assert all(u.metrics is None for u in units)
+    assert {u.error for u in units} == {"non-finite loss at epoch 0 batch 1"}
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,12 @@ def test_load_lexicon_hash_inside_trigger(tmp_path):
     assert lex.triggers == frozenset({"fix#me", "hack", "xxx"})
 
 
+def test_load_lexicon_drops_byte_order_mark(tmp_path):
+    path = tmp_path / "lex.txt"
+    path.write_bytes(b"\xef\xbb\xbfTODO\r\nugly  # inline\r\n")
+    assert load_lexicon(path).triggers == frozenset({"todo", "ugly"})
+
+
 def test_is_marker_only():
     assert is_marker_only("")
     assert is_marker_only("   ")

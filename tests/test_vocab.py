@@ -54,6 +54,22 @@ def test_load_base_vocabulary(tmp_path):
     assert vocab.unk_id == 0
 
 
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_load_base_vocabulary_crlf_keeps_ids(tmp_path, newline):
+    tokens = char_base_vocabulary().tokens
+    path = tmp_path / "vocab.txt"
+    path.write_bytes(newline.join(tokens).encode("utf-8") + newline.encode())
+    assert load_base_vocabulary(path).tokens == tokens
+
+
+def test_load_base_vocabulary_rejects_form_feed_in_token(tmp_path):
+    # a form feed does not end a line, so the token keeps it and is rejected
+    path = tmp_path / "vocab.txt"
+    path.write_text("\n".join(SPECIALS + ["fix\x0cme"]) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match="whitespace"):
+        load_base_vocabulary(path)
+
+
 def test_load_base_vocabulary_duplicate(tmp_path):
     path = tmp_path / "vocab.txt"
     path.write_text("\n".join(SPECIALS + ["dup", "dup"]), encoding="utf-8")
