@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.special import expit
 
 from .augment import Batch
 from .corpus import Label
@@ -39,6 +38,12 @@ class LinearModelState:
 
     weights: np.ndarray
     bias: float
+
+
+def logistic(z: np.ndarray | float) -> np.ndarray | float:
+    """1 / (1 + e^-z) as 0.5 + 0.5 tanh(z/2): exactly 0.5 at 0, and 0.0 or 1.0
+    with no floating-point warning far out, infinities included."""
+    return 0.5 + 0.5 * np.tanh(0.5 * z)
 
 
 def presence_features(
@@ -85,7 +90,7 @@ def train_linear(
             # one reduce per row, which adds pairwise; reduceat or a sparse
             # matvec would add sequentially and move the last bits of z
             z = np.fromiter([np.add.reduce(w[f]) for f in cols], np.float64, len(cols)) + b
-            p = expit(z)
+            p = logistic(z)
             # stable BCE: log(1+e^z) - y*z, plus the quadratic penalty
             loss = float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * hyper.l2 * float(w @ w))
             if not np.isfinite(loss):
@@ -111,7 +116,7 @@ def predict_linear(
     """logistic(w . x + b) with x the binary presence vector of ``words``."""
     feats = presence_features(vocab, words, max_seq_len)
     z = state.weights[list(feats)].sum() + state.bias
-    return float(expit(z))
+    return float(logistic(z))
 
 
 def mat_score(lexicon: TriggerLexicon, text: str) -> float:

@@ -131,6 +131,8 @@ class ExperimentConfig:
         _require_choice("classifier", self.classifier, CLASSIFIERS)
         _require_choice("vocab_scope", self.vocab_scope, VOCAB_SCOPES)
         _require_choice("dup_scope", self.dup_scope, DUP_SCOPES)
+        if self.projects is not None and not 0 < len(set(self.projects)) == len(self.projects):
+            raise ConfigError(f"projects must be one or more distinct names, got {self.projects!r}")
         if self.k < 2:
             raise ConfigError(f"k must be >= 2, got {self.k}")
         try:
@@ -630,30 +632,37 @@ def _assert_no_leakage(train: Iterable[Comment], test: Iterable[Comment]) -> Non
 
 
 def _evaluate_unit(
-    run: Run,
-    words: WordCache,
-    spec: UnitSpec,
-    shared_vocab: Vocabulary | None,
-    predictions: dict[tuple[str, int], float] | None,
-) -> MetricResult:
+    run: Run, words: WordCache, spec: UnitSpec, shared_vocab: Vocabulary | None
+) -> list[float]:
+    """The unit's test scores from the linear model or the keyword baseline."""
     config = run.config
-    if config.classifier == "external":
-        assert predictions is not None
-        scores = [predictions[(c.project, c.id)] for c in spec.test]
-    elif config.classifier == "linear":
+    if config.classifier == "linear":
         batches, train = training_stream(run, spec)
         _assert_no_leakage(train, spec.test)
         vocab = shared_vocab or build_vocabulary(run, words.project_words(spec.train))
         hyper = classifier.LinearHyper(learning_rate=config.learning_rate, l2=config.l2)
         n = config.max_seq_len
         state = classifier.train_linear(batches, vocab, words, hyper, n)
-        scores = [classifier.predict_linear(state, vocab, words[c.text], n) for c in spec.test]
-    else:
-        # the keyword baseline needs no training, so no training stream
-        _assert_no_leakage(spec.train, spec.test)
-        scores = [classifier.mat_score(run.mat_lexicon, c.text) for c in spec.test]
-    preds = [Label.SATD if s >= config.threshold else Label.NON_SATD for s in scores]
-    return compute_metrics(preds, [c.label for c in spec.test])
+        return [classifier.predict_linear(state, vocab, words[c.text], n) for c in spec.test]
+    # the keyword baseline needs no training, so no training stream
+    _assert_no_leakage(spec.train, spec.test)
+    return [classifier.mat_score(run.mat_lexicon, c.text) for c in spec.test]
+
+
+def _scorer(run: Run) -> Callable[[UnitSpec], list[float]]:
+    """A unit's test scores under the run's classifier. The external one's
+    come from the predictions file, read here: before any unit, and not by
+    prepare_run, which export_batches calls before the file exists."""
+    config = run.config
+    if config.classifier == "external":
+        scores = import_predictions(config.predictions_path, expected=run.test_keys)
+        return lambda spec: [scores[(c.project, c.id)] for c in spec.test]
+    words = WordCache()
+    shared_vocab = None
+    if config.classifier == "linear" and config.vocab_scope == "all":
+        comments = (c for ds in run.collection for c in ds.comments)
+        shared_vocab = build_vocabulary(run, words.project_words(comments))
+    return lambda spec: _evaluate_unit(run, words, spec, shared_vocab)
 
 
 def _mean(values: list[float]) -> float | None:
@@ -680,27 +689,16 @@ def run_experiment(run: Run) -> EvalReport:
     A unit that fails is recorded with an error marker and excluded from the
     aggregates; the rest of the grid still runs.
     """
-    return _run_units(run, _external_predictions(run))
+    return _run_units(run, _scorer(run))
 
 
-def _external_predictions(run: Run) -> dict[tuple[str, int], float] | None:
-    # not read by prepare_run, which export_batches calls before the file exists
-    if run.config.classifier == "external":
-        return import_predictions(run.config.predictions_path, expected=run.test_keys)
-    return None
-
-
-def _run_units(run: Run, predictions: dict[tuple[str, int], float] | None) -> EvalReport:
+def _run_units(run: Run, scorer: Callable[[UnitSpec], list[float]]) -> EvalReport:
     config = run.config
-    words = WordCache()
-    shared_vocab = None
-    if config.classifier == "linear" and config.vocab_scope == "all":
-        comments = (c for ds in run.collection for c in ds.comments)
-        shared_vocab = build_vocabulary(run, words.project_words(comments))
     by_project: dict[str, list[UnitResult]] = {ds.project: [] for ds in run.projects}
     for spec in run.specs:
         try:
-            metrics = _evaluate_unit(run, words, spec, shared_vocab, predictions)
+            preds = [Label.SATD if s >= config.threshold else Label.NON_SATD for s in scorer(spec)]
+            metrics = compute_metrics(preds, [c.label for c in spec.test])
             result = UnitResult(unit=spec.unit, metrics=metrics)
         except SatdkitError as exc:
             log.warning("%s/%s failed: %s", spec.project, spec.unit, exc)
@@ -830,7 +828,7 @@ def execute_run(config: ExperimentConfig) -> Path:
     goes to log.txt only.
     """
     run = prepare_run(config)
-    predictions = _external_predictions(run)  # a run that cannot start leaves no directory
+    scorer = _scorer(run)  # a run that cannot start leaves no directory
     run_dir = Path(config.outdir) / config.digest()
     run_dir.mkdir(parents=True, exist_ok=True)
     handler = logging.FileHandler(run_dir / "log.txt", mode="w", encoding="utf-8")
@@ -842,7 +840,7 @@ def execute_run(config: ExperimentConfig) -> Path:
         pkg_logger.setLevel(logging.INFO)
     try:
         log.info("run starting: digest=%s scenario=%s", config.digest(), config.scenario)
-        report = _run_units(run, predictions)
+        report = _run_units(run, scorer)
         _atomic_write(run_dir / "report.json", report_to_json(report))
         _atomic_write(run_dir / "report.csv", render_csv(report))
         _atomic_write(run_dir / "report.md", render_markdown(report))

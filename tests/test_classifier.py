@@ -1,14 +1,19 @@
+import os
 import random
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
-from helpers import COMMON_WORDS, make_comment, planted_project_comments
+from helpers import COMMON_WORDS, make_comment, planted_project_comments, write_planted_corpus
 from satdkit.augment import Batch, SamplerConfig, dup_augment, fmr_batches, plain_batches
 from satdkit.classifier import (
     LinearHyper,
     LinearModelState,
+    logistic,
     mat_score,
     predict_linear,
     presence_features,
@@ -96,7 +101,7 @@ def _reference_train_linear(stream, vocab, words, hyper=LinearHyper(), max_seq_l
         feats = [feats_of[c] for c in batch.items]
         y = np.array([1.0 if c.label is Label.SATD else 0.0 for c in batch.items])
         z = np.array([w[list(f)].sum() + b for f in feats])
-        p = expit(z)
+        p = logistic(z)
         with np.errstate(over="ignore"):
             loss = float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * hyper.l2 * float(w @ w))
         if not np.isfinite(loss):
@@ -211,6 +216,46 @@ def test_non_finite_loss_reports_batch():
     batches = [_random_batch(rng, 8, i) for i in range(3)]
     with pytest.raises(RunError, match="batch 1"):
         train_linear(batches, VOCAB, WORDS, LinearHyper(learning_rate=1e200, l2=1e-4))
+
+
+def test_logistic_is_exact_at_zero_monotone_and_saturates_without_warnings():
+    far = np.array([1000.0, 1e308, np.inf])
+    grid = np.linspace(-50.0, 50.0, 100_001)
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert logistic(0.0) == 0.5
+        p = logistic(grid)
+        assert ((0.0 <= p) & (p <= 1.0)).all()
+        assert (np.diff(p) >= 0.0).all()
+        assert (logistic(far) == 1.0).all() and (logistic(-far) == 0.0).all()
+        for z in far.tolist():
+            assert (logistic(z), logistic(-z)) == (1.0, 0.0)
+    near = grid[np.abs(grid) <= 30.0]
+    assert np.abs(logistic(near) - 1.0 / (1.0 + np.exp(-near))).max() < 1e-15
+
+
+def test_linear_run_imports_no_third_party_package_but_numpy(tmp_path):
+    manifest = write_planted_corpus(tmp_path / "data", n_total=40, n_satd=4, seed=4)
+    script = (
+        "import sys\n"
+        "class NumpyOnly:  # an import finder that refuses every other third-party package\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] not in {*sys.stdlib_module_names, 'numpy', 'satdkit'}:\n"
+        "            raise ImportError(f'{name} is neither numpy nor the standard library')\n"
+        "sys.meta_path.insert(0, NumpyOnly())\n"
+        "import satdkit\n"
+        "config = satdkit.build_config(overrides={'manifest': sys.argv[1], 'k': '4',\n"
+        "    'classifier': 'linear', 'learning_rate': '1.0', 'epochs': '2'})\n"
+        "report = satdkit.run_experiment(satdkit.prepare_run(config))\n"
+        "units = [u for p in report.projects for u in p.units]\n"
+        "assert len(units) == 4 and all(u.error is None for u in units), units\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-c", script, str(manifest)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_predict_zero_state():
