@@ -89,6 +89,24 @@ def test_run_logs_to_stderr_only_when_verbose(tmp_path, verbose):
         assert "DEBUG" not in log
 
 
+@pytest.mark.parametrize(
+    "key", ["vocab_base", "vocab_denylist", "dup_lexicon", "mat_lexicon", "label_mapping"]
+)
+def test_missing_input_file_fails_run_before_any_unit(tmp_path, capsys, key):
+    # the linear dup_fmr run reads every file but the keyword lexicon, which
+    # it must still find
+    manifest = write_planted_corpus(tmp_path / "data", n_total=80, n_satd=8, seed=4)
+    missing = tmp_path / "nope.txt"
+    code = main([
+        "run", "--manifest", str(manifest), "--classifier", "linear",
+        "--augmentation", "dup_fmr", "--k", "4", "--epochs", "1",
+        "--outdir", str(tmp_path / "runs"), f"--{key.replace('_', '-')}", str(missing),
+    ])
+    assert code == 2
+    assert str(missing) in capsys.readouterr().err
+    assert not list(tmp_path.rglob("report.json"))
+
+
 # every input file of a run, by the flag that names it; "dataset" is a
 # project CSV the manifest names, "predictions" the external classifier's
 INPUT_FILES = [
