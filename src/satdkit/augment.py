@@ -27,7 +27,8 @@ import numpy as np
 
 from .corpus import Comment, Label
 from .errors import DataError
-from .lexicon import STRICT, TriggerLexicon, find_triggers, is_marker_only, remove_triggers
+from .lexicon import TriggerLexicon, is_marker_only, remove_triggers
+from .lexicon import find_triggers  # noqa: F401  (bench/tracer.py patches this name)
 
 # Stream namespaces keep the shuffle, coin/draw, and fold RNGs independent
 # even under one experiment seed.
@@ -160,7 +161,6 @@ def dup_augment(
     """
     if scope not in (DUP_SCOPE_TRIGGERED, DUP_SCOPE_ALL):
         raise ValueError(f"unknown dup scope {scope!r}")
-    strict = lex if lex.mode == STRICT else replace(lex, mode=STRICT)
     next_id: dict[str, int] = {}
     for project, floor in (id_floor or {}).items():
         next_id[project] = floor - 1
@@ -170,10 +170,9 @@ def dup_augment(
     for c in train:
         if c.label is not Label.SATD:
             continue
-        if scope == DUP_SCOPE_TRIGGERED and not find_triggers(strict, c.text):
-            continue
+        # stripping changes the text exactly when it holds a strict trigger span
         stripped = remove_triggers(lex, c.text)
-        if is_marker_only(stripped):
+        if (scope == DUP_SCOPE_TRIGGERED and stripped == c.text) or is_marker_only(stripped):
             continue
         next_id[c.project] += 1
         duplicates.append(

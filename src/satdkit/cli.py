@@ -46,6 +46,11 @@ log = logging.getLogger(__name__)
 
 
 class _Parser(argparse.ArgumentParser):
+    # Options are spelled out in full: an abbreviation would let a flag that
+    # was removed ("--out") still parse as a longer one ("--outdir").
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse exits with its own code 2 on usage errors; route them through
     # the package's exit-code convention instead (config error -> 1).
     def error(self, message: str) -> None:  # type: ignore[override]
@@ -99,14 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
         "export-batches", help="write seeded training batches for an external trainer"
     )
     _add_config_arguments(p_export)
-    p_export.add_argument("--out", help="export directory (defaults to export_path)")
     p_export.set_defaults(func=cmd_export_batches)
 
     p_import = sub.add_parser(
         "import-predictions", help="validate an external predictions file against the config"
     )
     _add_config_arguments(p_import)
-    p_import.add_argument("--predictions", help="JSONL file (defaults to predictions_path)")
     p_import.set_defaults(func=cmd_import_predictions)
 
     p_report = sub.add_parser("report", help="re-render a saved report.json")
@@ -161,7 +164,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_export_batches(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    out = export_batches(config, path=args.out)
+    out = export_batches(config)
     manifest = json.loads((out / "export.json").read_text(encoding="utf-8"))
     print(f"exported {len(manifest['units'])} unit streams to {out}")
     return 0
@@ -169,9 +172,9 @@ def cmd_export_batches(args: argparse.Namespace) -> int:
 
 def cmd_import_predictions(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    path = args.predictions or config.predictions_path
+    path = config.predictions_path
     if not path:
-        raise ConfigError("a predictions file is required (--predictions or predictions_path)")
+        raise ConfigError("a predictions file is required (predictions_path)")
     expected = prepare_run(config).test_keys
     predictions = import_predictions(path, expected=expected)
     print(f"{path}: {len(predictions)} predictions cover all {len(expected)} test comments")

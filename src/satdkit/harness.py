@@ -34,7 +34,7 @@ import math
 import os
 import reprlib
 import secrets
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import asdict, astuple, dataclass, fields, is_dataclass
 from functools import cache
 from pathlib import Path
 from types import UnionType
@@ -133,6 +133,8 @@ class ExperimentConfig:
         _require_choice("dup_scope", self.dup_scope, DUP_SCOPES)
         if self.projects is not None and not 0 < len(set(self.projects)) == len(self.projects):
             raise ConfigError(f"projects must be one or more distinct names, got {self.projects!r}")
+        if self.projects is not None:  # a set: in any order it is one experiment, one digest
+            object.__setattr__(self, "projects", tuple(sorted(self.projects)))
         if self.k < 2:
             raise ConfigError(f"k must be >= 2, got {self.k}")
         try:
@@ -253,6 +255,15 @@ class UnitResult:
 
 
 @dataclass(frozen=True)
+class Scores:
+    """Unweighted means of unit or project scores; None when nothing was scored."""
+
+    precision: float | None
+    recall: float | None
+    f1: float | None
+
+
+@dataclass(frozen=True)
 class ProjectResult:
     project: str
     units: tuple[UnitResult, ...]
@@ -264,17 +275,14 @@ class ProjectResult:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """The ``eval-report@1`` schema, which the JSON writer and reader follow;
-    the ``average_*`` fields form one ``average`` object there."""
+    """The ``eval-report@1`` schema, which the JSON writer and reader follow."""
 
     scenario: str
     digest: str
     seed: int
     config: dict
     projects: tuple[ProjectResult, ...]
-    average_precision: float | None
-    average_recall: float | None
-    average_f1: float | None
+    average: Scores
 
 
 REPORT_FORMAT = "eval-report@1"
@@ -284,9 +292,7 @@ _JSON_LEAVES = {float: (int, float), int: (int,), str: (str,), dict: (dict,)}
 
 
 def report_to_dict(report: EvalReport) -> dict:
-    payload = asdict(report)
-    payload["average"] = {k: payload.pop(f"average_{k}") for k in _SCORES}
-    return {"format": REPORT_FORMAT, **payload}
+    return {"format": REPORT_FORMAT, **asdict(report)}
 
 
 @cache
@@ -327,11 +333,7 @@ def report_from_dict(payload: object) -> EvalReport:
         raise DataError(f"expected a report object, got {type(payload).__name__}")
     if payload.get("format") != REPORT_FORMAT:
         raise DataError(f"unsupported report format {payload.get('format')!r}")
-    flat, hints = dict(payload), dict(_hints(EvalReport))
-    average = _from_json(dict, *_member(payload, "average", ""))
-    for k in _SCORES:
-        flat[f"average_{k}"] = _from_json(hints[f"average_{k}"], *_member(average, k, "average"))
-    return _from_json(EvalReport, flat, "")
+    return _from_json(EvalReport, payload, "")
 
 
 def report_to_json(report: EvalReport) -> str:
@@ -352,8 +354,7 @@ def render_csv(report: EvalReport) -> str:
     writer.writerow(["project", *_SCORES])
     for p in report.projects:
         writer.writerow([p.project, _fmt3(p.precision), _fmt3(p.recall), _fmt3(p.f1)])
-    averages = (report.average_precision, report.average_recall, report.average_f1)
-    writer.writerow(["Average", *map(_fmt3, averages)])
+    writer.writerow(["Average", *map(_fmt3, astuple(report.average))])
     return out.getvalue()
 
 
@@ -376,10 +377,7 @@ def render_markdown(report: EvalReport) -> str:
     for p in report.projects:
         cell = p.project.replace("|", r"\|") + (" *" if p.note else "")
         lines.append(f"| {cell} | {_fmt3(p.precision)} | {_fmt3(p.recall)} | {_fmt3(p.f1)} |")
-    lines.append(
-        f"| **Average** | {_fmt3(report.average_precision)} "
-        f"| {_fmt3(report.average_recall)} | {_fmt3(report.average_f1)} |"
-    )
+    lines.append(f"| **Average** | {' | '.join(map(_fmt3, astuple(report.average)))} |")
     notes = [f"- `{p.project}`: {p.note}" for p in report.projects if p.note]
     if notes:
         lines.extend(["", "Notes:", *notes])
@@ -578,8 +576,16 @@ def _sampler_config(config: ExperimentConfig, unit_seed: int) -> SamplerConfig:
     )
 
 
+def _assert_no_leakage(train: Iterable[Comment], test: Iterable[Comment]) -> None:
+    train_keys = {(c.project, c.id) for c in train}
+    overlap = [(c.project, c.id) for c in test if (c.project, c.id) in train_keys]
+    if overlap:
+        raise RunError(f"train/test leakage detected: {overlap[:5]}")
+
+
 def training_stream(run: Run, spec: UnitSpec) -> tuple[Iterator[Batch], list[Comment]]:
-    """The unit's seeded training batches and its (augmented) train list.
+    """The unit's seeded training batches and its (augmented) train list,
+    checked for leakage into the unit's test set.
 
     With dup_fmr the minority pool contains originals plus duplicates, so
     forced re-sampling draws from both.
@@ -596,6 +602,7 @@ def training_stream(run: Run, spec: UnitSpec) -> tuple[Iterator[Batch], list[Com
             train, run.dup_lexicon, scope=config.dup_scope, id_floor=id_floor
         )
         log.debug("%s/%s: %d duplicates appended", spec.project, spec.unit, n_dup)
+    _assert_no_leakage(train, spec.test)
     if config.augmentation == "none":
         return plain_batches(train, sampler), train
     return fmr_batches(train, sampler), train
@@ -624,21 +631,13 @@ def build_vocabulary(run: RunInputs, project_words: list[set[str]]) -> Vocabular
     return augment_vocabulary(run.base, vocabulary_candidates(run, project_words)[0])
 
 
-def _assert_no_leakage(train: Iterable[Comment], test: Iterable[Comment]) -> None:
-    train_keys = {(c.project, c.id) for c in train}
-    overlap = [(c.project, c.id) for c in test if (c.project, c.id) in train_keys]
-    if overlap:
-        raise RunError(f"train/test leakage detected: {overlap[:5]}")
-
-
 def _evaluate_unit(
     run: Run, words: WordCache, spec: UnitSpec, shared_vocab: Vocabulary | None
 ) -> list[float]:
     """The unit's test scores from the linear model or the keyword baseline."""
     config = run.config
     if config.classifier == "linear":
-        batches, train = training_stream(run, spec)
-        _assert_no_leakage(train, spec.test)
+        batches, _ = training_stream(run, spec)
         vocab = shared_vocab or build_vocabulary(run, words.project_words(spec.train))
         hyper = classifier.LinearHyper(learning_rate=config.learning_rate, l2=config.l2)
         n = config.max_seq_len
@@ -665,22 +664,11 @@ def _scorer(run: Run) -> Callable[[UnitSpec], list[float]]:
     return lambda spec: _evaluate_unit(run, words, spec, shared_vocab)
 
 
-def _mean(values: list[float]) -> float | None:
-    return sum(values) / len(values) if values else None
-
-
-def _aggregate_project(
-    project: str, units: list[UnitResult], note: str | None
-) -> ProjectResult:
-    ok = [u.metrics for u in units if u.metrics is not None]
-    return ProjectResult(
-        project=project,
-        units=tuple(units),
-        precision=_mean([m.precision for m in ok]),
-        recall=_mean([m.recall for m in ok]),
-        f1=_mean([m.f1 for m in ok]),
-        note=note,
-    )
+def _average(scored: list[MetricResult] | list[ProjectResult]) -> Scores:
+    """The unweighted mean of each score: over a project's units, or over
+    the projects of the collection."""
+    n = len(scored)
+    return Scores(*(sum(getattr(s, k) for s in scored) / n if n else None for k in _SCORES))
 
 
 def run_experiment(run: Run) -> EvalReport:
@@ -708,18 +696,17 @@ def _run_units(run: Run, scorer: Callable[[UnitSpec], list[float]]) -> EvalRepor
             log.info("%s/%s: f1=%.3f", spec.project, spec.unit, result.metrics.f1)
     project_results = []
     for ds in run.projects:
+        units = by_project[ds.project]
+        mean = _average([u.metrics for u in units if u.metrics is not None])
         note = "project has no SATD comments" if ds.n_satd == 0 else None
-        project_results.append(_aggregate_project(ds.project, by_project[ds.project], note))
-    scored = [p for p in project_results if p.f1 is not None]
+        project_results.append(ProjectResult(ds.project, tuple(units), *astuple(mean), note))
     return EvalReport(
         scenario=config.scenario,
         digest=config.digest(),
         seed=config.seed,
         config=config.digest_fields(),
         projects=tuple(project_results),
-        average_precision=_mean([p.precision for p in scored]),
-        average_recall=_mean([p.recall for p in scored]),
-        average_f1=_mean([p.f1 for p in scored]),
+        average=_average([p for p in project_results if p.f1 is not None]),
     )
 
 
@@ -727,7 +714,7 @@ def _run_units(run: Run, scorer: Callable[[UnitSpec], list[float]]) -> EvalRepor
 # External-trainer bridge
 # ---------------------------------------------------------------------------
 
-def export_batches(config: ExperimentConfig, path: str | Path | None = None) -> Path:
+def export_batches(config: ExperimentConfig) -> Path:
     """Write every unit's seeded post-augmentation batch stream as JSONL,
     plus the split definitions an external trainer must honor.
 
@@ -735,10 +722,9 @@ def export_batches(config: ExperimentConfig, path: str | Path | None = None) -> 
     ``folds.json``, and one batch file per unit: ``batches/<project>/<fold>.jsonl``
     (intra) or ``batches/<project>.jsonl`` (cross).
     """
-    target = config.export_path if path is None else path
-    if not target:
+    if not config.export_path:
         raise ConfigError("export path is required")
-    out = Path(target)
+    out = Path(config.export_path)
     run = prepare_run(config)
     units_meta = []
     for spec in run.specs:

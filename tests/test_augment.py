@@ -3,6 +3,7 @@ import json
 import pytest
 
 from helpers import make_comment
+from satdkit import augment, lexicon
 from satdkit.augment import (
     Batch,
     SamplerConfig,
@@ -225,6 +226,25 @@ def test_dup_duplicates_contain_no_strict_triggers():
     for c in augmented[20:]:
         assert find_triggers(strict, c.text) == []
     assert n_dup == 20
+
+
+@pytest.mark.parametrize("scope", ["triggered", "all"])
+def test_dup_augment_matches_each_satd_comment_once(monkeypatch, scope):
+    calls = []
+    for module in (augment, lexicon):  # the direct name and the one remove_triggers calls
+        original = module.find_triggers
+        monkeypatch.setattr(module, "find_triggers",
+                            lambda lex, text, f=original: calls.append(text) or f(lex, text))
+    train = [
+        make_comment(0, "// TODO fix", Label.SATD),
+        make_comment(1, "// needs a rework", Label.SATD),
+        make_comment(2, "// the hackathon HACK: again", Label.SATD),
+        make_comment(3, "/* XXX */", Label.SATD),
+        make_comment(4, "// TODO: not debt", Label.NON_SATD),
+    ]
+    _, n_dup = dup_augment(train, DUP, scope=scope)
+    assert n_dup == (3 if scope == "all" else 2)
+    assert sorted(calls) == sorted(c.text for c in train if c.label is Label.SATD)
 
 
 def test_batch_record_schema():

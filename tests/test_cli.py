@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from helpers import planted_rows, write_corpus, write_planted_corpus
-from satdkit.cli import main
+from satdkit.cli import build_parser, main
+from satdkit.harness import CONFIG_KEYS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -20,6 +22,48 @@ def test_ingest_prints_stats(tmp_path, capsys):
     assert "Planted" in out
     assert "10.00" in out  # 8 of 80
     assert "Demo" in out
+
+
+def _subcommands(parser, prefix=()):
+    """(command words, parser) for every subcommand under ``parser``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield (*prefix, name), sub
+                yield from _subcommands(sub, (*prefix, name))
+
+
+def test_cli_options_beyond_config_keys():
+    # every config key is a flag already; an option that restates one is a
+    # second path for the same value
+    config_flags = {"--config", *(f"--{key.replace('_', '-')}" for key in CONFIG_KEYS)}
+    surface = {
+        " ".join(words): sorted(
+            flag for action in sub._actions if not isinstance(action, argparse._HelpAction)
+            for flag in action.option_strings if flag not in config_flags
+        )
+        for words, sub in _subcommands(build_parser())
+    }
+    assert surface == {
+        "ingest": [],
+        "vocab": [],
+        "vocab build": ["--candidates-csv", "--out"],
+        "vocab inspect": ["--vocab"],
+        "run": [],
+        "export-batches": [],
+        "import-predictions": [],
+        "report": ["--format", "--out", "--report"],
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["export-batches", "--out", "x"],
+    ["import-predictions", "--predictions", "x"],
+    ["run", "--out", "x"],
+], ids=["export_out", "import_predictions", "run_out_abbreviation"])
+def test_removed_or_abbreviated_flag_is_config_error(capsys, argv):
+    assert main(argv) == 1
+    assert f"unrecognized arguments: {argv[1]} x" in capsys.readouterr().err
 
 
 def test_missing_manifest_is_config_error(capsys):
@@ -187,7 +231,7 @@ def test_path_like_project_name_is_data_error(tmp_path, capsys, scenario, name):
     export_dir = tmp_path / "data" / "export"
     code = main([
         "export-batches", "--manifest", str(manifest), "--scenario", scenario,
-        "--k", "4", "--epochs", "1", "--out", str(export_dir),
+        "--k", "4", "--epochs", "1", "--export-path", str(export_dir),
     ])
     assert code == 2
     assert f"manifest.tsv:2: project name {name!r} is a path" in capsys.readouterr().err
@@ -232,7 +276,7 @@ def test_export_and_import_commands(tmp_path, capsys):
     export_dir = tmp_path / "export"
     code = main([
         "export-batches", "--manifest", str(manifest), "--scenario", "intra",
-        "--k", "4", "--epochs", "1", "--out", str(export_dir),
+        "--k", "4", "--epochs", "1", "--export-path", str(export_dir),
     ])
     assert code == 0
     assert (export_dir / "export.json").exists()
@@ -253,7 +297,7 @@ def test_export_and_import_commands(tmp_path, capsys):
             fh.write(json.dumps({"project": project, "id": cid, "score": score}) + "\n")
     code = main([
         "import-predictions", "--manifest", str(manifest), "--scenario", "intra",
-        "--k", "4", "--epochs", "1", "--predictions", str(preds_path),
+        "--k", "4", "--epochs", "1", "--predictions-path", str(preds_path),
     ])
     out = capsys.readouterr().out
     assert code == 0

@@ -24,6 +24,7 @@ from satdkit.harness import (
     EvalReport,
     ExperimentConfig,
     ProjectResult,
+    Scores,
     UnitResult,
     build_config,
     build_vocabulary,
@@ -130,6 +131,14 @@ def test_config_digest_ignores_outdir():
     assert a.digest() != c.digest()
 
 
+def test_projects_order_names_one_experiment():
+    a_b = build_config(overrides={"manifest": "m", "projects": "Alpha,Beta"})
+    b_a = build_config(overrides={"manifest": "m", "projects": "Beta, Alpha"})
+    assert b_a.projects == ("Alpha", "Beta")
+    assert a_b == b_a
+    assert a_b.digest() == b_a.digest()
+
+
 def test_projects_filter_unknown_name(tmp_path):
     manifest = _write_pair_corpus(tmp_path)
     config = build_config(overrides={
@@ -196,7 +205,7 @@ def test_run_intra_mat_strict_on_trigger_defined_corpus(tmp_path):
     assert len(report.projects) == 1
     # labels are defined by trigger presence, so the keyword baseline is exact
     assert report.projects[0].f1 == pytest.approx(1.0)
-    assert report.average_f1 == pytest.approx(1.0)
+    assert report.average.f1 == pytest.approx(1.0)
 
 
 def _unit_counts(report):
@@ -220,7 +229,7 @@ def test_external_score_equal_to_threshold_is_satd(tmp_path):
             fh.write(json.dumps({"project": c.project, "id": c.id, "score": score}) + "\n")
     report = run_experiment(prepare_run(config))
     assert _unit_counts(report) == (8, 0)
-    assert report.average_f1 == pytest.approx(1.0)
+    assert report.average.f1 == pytest.approx(1.0)
 
 
 def test_mat_hit_at_threshold_one_is_satd(tmp_path):
@@ -231,7 +240,7 @@ def test_mat_hit_at_threshold_one_is_satd(tmp_path):
     })
     report = run_experiment(prepare_run(config))
     assert _unit_counts(report) == (8, 0)
-    assert report.average_f1 == pytest.approx(1.0)
+    assert report.average.f1 == pytest.approx(1.0)
 
 
 def test_mat_strict_scores_raw_comment_text(tmp_path):
@@ -340,7 +349,7 @@ def test_run_cross_linear_pattern_transfers(tmp_path):
     assert [p.project for p in report.projects] == ["Alpha", "Beta"]
     for project in report.projects:
         assert project.f1 == pytest.approx(1.0)
-    assert report.average_f1 == pytest.approx(1.0)
+    assert report.average.f1 == pytest.approx(1.0)
 
 
 def test_degenerate_project_flagged(tmp_path):
@@ -487,6 +496,20 @@ def test_vocab_scope_all_shares_universal_vocabulary(tmp_path):
         assert report.projects[0].f1 is not None
 
 
+@pytest.mark.parametrize("augmentation", ["none", "fmr", "dup_fmr"])
+def test_training_stream_rejects_a_train_comment_in_the_test_set(tmp_path, augmentation):
+    manifest = write_planted_corpus(tmp_path, n_total=40, n_satd=4, seed=3)
+    run = prepare_run(build_config(overrides={
+        "manifest": str(manifest), "scenario": "intra", "k": "2", "epochs": "1",
+        "augmentation": augmentation,
+    }))
+    spec = run.specs[0]
+    leaky = dataclasses.replace(spec, test=spec.test + spec.train[-1:])
+    training_stream(run, spec)
+    with pytest.raises(RunError, match="train/test leakage detected"):
+        training_stream(run, leaky)
+
+
 def test_dup_scope_all_duplicates_trigger_free_minority(tmp_path):
     rows = [("// todo fix", Label.SATD), ("// wants a redesign", Label.SATD)] + [
         (f"// fine {i}", Label.NON_SATD) for i in range(18)
@@ -522,9 +545,9 @@ def test_export_batch_line_count(tmp_path):
     })
     config = build_config(overrides={
         "manifest": str(manifest), "scenario": "cross", "augmentation": "fmr",
-        "epochs": "1", "batch_size": "32", "seed": "4",
+        "epochs": "1", "batch_size": "32", "seed": "4", "export_path": str(tmp_path / "export"),
     })
-    out = export_batches(config, tmp_path / "export")
+    out = export_batches(config)
     manifest_data = json.loads((out / "export.json").read_text(encoding="utf-8"))
     unit = next(u for u in manifest_data["units"] if u["project"] == "Small")
     assert unit["n_train"] == 100
@@ -534,16 +557,15 @@ def test_export_batch_line_count(tmp_path):
     assert [len(json.loads(line)["items"]) for line in lines] == [32, 32, 32, 4]
 
 
-@pytest.mark.parametrize("via_config", [False, True], ids=["argument", "export_path"])
-def test_export_to_current_directory(tmp_path, monkeypatch, via_config):
+@pytest.mark.parametrize("export_path", ["."], ids=["export_path"])
+def test_export_to_current_directory(tmp_path, monkeypatch, export_path):
     manifest = write_planted_corpus(tmp_path / "data", n_total=40, n_satd=4, seed=3)
-    overrides = {"manifest": str(manifest), "scenario": "intra", "k": "2", "epochs": "1"}
-    if via_config:
-        overrides["export_path"] = "."
+    overrides = {"manifest": str(manifest), "scenario": "intra", "k": "2", "epochs": "1",
+                 "export_path": export_path}
     work = tmp_path / "work"
     work.mkdir()
     monkeypatch.chdir(work)
-    out = export_batches(build_config(overrides=overrides), None if via_config else ".")
+    out = export_batches(build_config(overrides=overrides))
     assert out == Path(".")
     assert (work / "export.json").is_file()
     assert len(json.loads((work / "export.json").read_text(encoding="utf-8"))["units"]) == 2
@@ -554,7 +576,7 @@ def test_export_without_path_is_config_error(tmp_path):
     config = build_config(overrides={"manifest": str(manifest), "scenario": "intra", "k": "2"})
     for path in (None, ""):
         with pytest.raises(ConfigError, match="export path is required"):
-            export_batches(config, path)
+            export_batches(dataclasses.replace(config, export_path=path))
 
 
 def test_export_zero_probability_never_adjusts(tmp_path):
@@ -562,8 +584,9 @@ def test_export_zero_probability_never_adjusts(tmp_path):
     config = build_config(overrides={
         "manifest": str(manifest), "scenario": "intra", "augmentation": "fmr",
         "trigger_prob": "0.0", "k": "3", "epochs": "2", "seed": "8",
+        "export_path": str(tmp_path / "export"),
     })
-    out = export_batches(config, tmp_path / "export")
+    out = export_batches(config)
     for path in (out / "batches").rglob("*.jsonl"):
         for line in path.read_text(encoding="utf-8").splitlines():
             assert json.loads(line)["adjusted"] is False
@@ -575,10 +598,14 @@ def test_export_dup_fmr_pool_counts_duplicates(tmp_path):
         "manifest": str(manifest), "scenario": "intra", "k": "4",
         "epochs": "1", "seed": "8",
     }
-    plain_cfg = build_config(overrides={**base, "augmentation": "fmr"})
-    dup_cfg = build_config(overrides={**base, "augmentation": "dup_fmr"})
-    plain_out = export_batches(plain_cfg, tmp_path / "plain")
-    dup_out = export_batches(dup_cfg, tmp_path / "dup")
+    plain_cfg = build_config(overrides={
+        **base, "augmentation": "fmr", "export_path": str(tmp_path / "plain"),
+    })
+    dup_cfg = build_config(overrides={
+        **base, "augmentation": "dup_fmr", "export_path": str(tmp_path / "dup"),
+    })
+    plain_out = export_batches(plain_cfg)
+    dup_out = export_batches(dup_cfg)
     plain_units = json.loads((plain_out / "export.json").read_text(encoding="utf-8"))["units"]
     dup_units = json.loads((dup_out / "export.json").read_text(encoding="utf-8"))["units"]
     for plain_unit, dup_unit in zip(plain_units, dup_units):
@@ -679,7 +706,7 @@ def test_external_trainer_equivalence(tmp_path):
     report_in = run_experiment(run_in)
 
     export_dir = tmp_path / "export"
-    export_batches(in_process, export_dir)
+    export_batches(dataclasses.replace(in_process, export_path=str(export_dir)))
     manifest_data = json.loads((export_dir / "export.json").read_text(encoding="utf-8"))
     collection = run_in.collection
 
@@ -721,7 +748,7 @@ def test_external_trainer_equivalence(tmp_path):
     units_in = [u.metrics for p in report_in.projects for u in p.units]
     units_ext = [u.metrics for p in report_ext.projects for u in p.units]
     assert units_in == units_ext
-    assert report_in.average_f1 == report_ext.average_f1
+    assert report_in.average.f1 == report_ext.average.f1
 
 
 def test_external_missing_prediction_fails(tmp_path):
@@ -772,7 +799,7 @@ def _report_fixture():
     return EvalReport(
         scenario="cross", digest="abc123", seed=1, config={"classifier": "linear",
         "augmentation": "none"}, projects=projects,
-        average_precision=0.75, average_recall=0.75, average_f1=0.75,
+        average=Scores(precision=0.75, recall=0.75, f1=0.75),
     )
 
 
@@ -789,8 +816,7 @@ def test_render_single_project_average_is_identity():
     report = _report_fixture()
     single = EvalReport(
         scenario="cross", digest="d", seed=1, config=report.config,
-        projects=report.projects[:1], average_precision=1.0, average_recall=1.0,
-        average_f1=1.0,
+        projects=report.projects[:1], average=Scores(precision=1.0, recall=1.0, f1=1.0),
     )
     lines = render_csv(single).splitlines()
     assert lines[-1] == "Average,1.000,1.000,1.000"
@@ -806,7 +832,7 @@ def test_render_markdown_layout():
 def test_render_empty_report_rejected(tmp_path):
     empty = EvalReport(
         scenario="cross", digest="d", seed=1, config={}, projects=(),
-        average_precision=None, average_recall=None, average_f1=None,
+        average=Scores(precision=None, recall=None, f1=None),
     )
     with pytest.raises(RunError, match="nothing to render"):
         render_csv(empty)

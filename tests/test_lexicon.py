@@ -255,3 +255,23 @@ def test_lower_keep_length_matches_per_character_loop():
         assert low == _reference_lower_keep_length(text), text
         assert len(low) == len(text)
     assert 10_000 <= n_ascii < 20_000
+
+
+def test_stripping_changes_text_exactly_when_a_strict_span_is_found():
+    # dup_augment relies on this to match each comment once: remove_triggers
+    # changes a text if and only if the strict form of its lexicon finds a span
+    rng = random.Random(1414)
+    pieces = _TEXT_PIECES + ["\x00", "hack", "Ugly", "xXx", "hackathon", "todo:", "HACK::", "//"]
+    defaults = [dup_lexicon(STRICT), dup_lexicon(FUZZY), mat_lexicon(STRICT), mat_lexicon(FUZZY)]
+    changed = 0
+    for i in range(20_000):
+        if i % 2:
+            lex = defaults[i // 2 % 4]
+        else:
+            triggers = frozenset(rng.sample(_TRIGGER_POOL, rng.randint(1, 5)))
+            lex = TriggerLexicon(triggers, rng.choice((STRICT, FUZZY)))
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
+        found = bool(find_triggers(TriggerLexicon(lex.triggers, STRICT), text))
+        assert (remove_triggers(lex, text) != text) == found, (lex, text)
+        changed += found
+    assert 2_000 < changed < 18_000  # both sides of the equivalence are exercised
