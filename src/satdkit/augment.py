@@ -20,13 +20,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .corpus import Comment, Label
-from .errors import DataError
+from .errors import DataError, write_output
 from .lexicon import TriggerLexicon, is_marker_only, remove_triggers
 from .lexicon import find_triggers  # noqa: F401  (bench/tracer.py patches this name)
 
@@ -144,7 +145,7 @@ def dup_augment(
     train: list[Comment],
     lex: TriggerLexicon,
     scope: str = DUP_SCOPE_TRIGGERED,
-    id_floor: dict[str, int] | None = None,
+    reserved: Iterable[Comment] = (),
 ) -> tuple[list[Comment], int]:
     """Append trigger-stripped duplicates of minority comments.
 
@@ -152,9 +153,9 @@ def dup_augment(
     strict trigger span; scope="all" also duplicates trigger-free SATD
     comments verbatim (pure oversampling). Duplicates whose text collapses
     to nothing or to bare comment markers are skipped. Duplicate ids are
-    fresh and record the source comment id; ``id_floor`` (per project) lets
-    callers reserve the full dataset's id space so duplicates can never
-    collide with held-out comments the train list does not contain.
+    fresh and record the source comment id: in each project they start after
+    the largest id in ``train`` and ``reserved``, so passing the held-out
+    comments keeps duplicates from colliding with them.
 
     Returns the augmented list (originals untouched, duplicates appended in
     scan order) and the duplicate count.
@@ -162,9 +163,7 @@ def dup_augment(
     if scope not in (DUP_SCOPE_TRIGGERED, DUP_SCOPE_ALL):
         raise ValueError(f"unknown dup scope {scope!r}")
     next_id: dict[str, int] = {}
-    for project, floor in (id_floor or {}).items():
-        next_id[project] = floor - 1
-    for c in train:
+    for c in chain(train, reserved):
         next_id[c.project] = max(next_id.get(c.project, -1), c.id)
     duplicates: list[Comment] = []
     for c in train:
@@ -208,9 +207,4 @@ def batch_record(batch: Batch) -> dict:
 
 def write_batches_jsonl(batches: Iterable[Batch], path: str | Path) -> int:
     """Write one JSON line per batch; returns the number of lines written."""
-    count = 0
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for batch in batches:
-            fh.write(json.dumps(batch_record(batch)) + "\n")
-            count += 1
-    return count
+    return write_output(path, (json.dumps(batch_record(b)) + "\n" for b in batches))

@@ -158,14 +158,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     run_dir = execute_run(config)
     print(f"run complete: {run_dir}")
-    print((run_dir / "report.csv").read_text(encoding="utf-8"), end="")
+    print(read_input(run_dir / "report.csv", "report"), end="")
     return 0
 
 
 def cmd_export_batches(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     out = export_batches(config)
-    manifest = json.loads((out / "export.json").read_text(encoding="utf-8"))
+    manifest = json.loads(read_input(out / "export.json", "export manifest"))
     print(f"exported {len(manifest['units'])} unit streams to {out}")
     return 0
 

@@ -31,9 +31,7 @@ import io
 import json
 import logging
 import math
-import os
 import reprlib
-import secrets
 from dataclasses import asdict, astuple, dataclass, fields, is_dataclass
 from functools import cache
 from pathlib import Path
@@ -59,7 +57,7 @@ from .corpus import (
     load_label_mapping,
     strip_comment,
 )
-from .errors import ConfigError, DataError, RunError, SatdkitError, read_input
+from .errors import ConfigError, DataError, RunError, SatdkitError, read_input, write_output
 from .evalkit import (
     MetricResult,
     compute_metrics,
@@ -392,27 +390,12 @@ def render_report(report: EvalReport, fmt: str, path: str | Path) -> Path:
     """Write the report in the requested format; returns the path written."""
     if fmt not in _RENDERERS:
         raise ConfigError(f"format must be one of {'|'.join(REPORT_FORMATS)}, got {fmt!r}")
-    path = Path(path)
-    _atomic_write(path, _RENDERERS[fmt](report))
-    return path
+    write_output(path, [_RENDERERS[fmt](report)])
+    return Path(path)
 
 
 def _json_text(payload: object) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    # A fresh, exclusively created temp name per write, so runs with the same
-    # digest never share one; unlike mkstemp's 0600 files it honors the umask.
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
-    try:
-        with tmp.open("x", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 # ---------------------------------------------------------------------------
@@ -595,12 +578,7 @@ def training_stream(run: Run, spec: UnitSpec) -> tuple[Iterator[Batch], list[Com
     train = list(spec.train)
     if config.augmentation == "dup_fmr":
         # duplicate ids must clear the held-out comments' id space too
-        id_floor: dict[str, int] = {}
-        for c in (*spec.train, *spec.test):
-            id_floor[c.project] = max(id_floor.get(c.project, 0), c.id + 1)
-        train, n_dup = dup_augment(
-            train, run.dup_lexicon, scope=config.dup_scope, id_floor=id_floor
-        )
+        train, n_dup = dup_augment(train, run.dup_lexicon, config.dup_scope, reserved=spec.test)
         log.debug("%s/%s: %d duplicates appended", spec.project, spec.unit, n_dup)
     _assert_no_leakage(train, spec.test)
     if config.augmentation == "none":
@@ -730,7 +708,6 @@ def export_batches(config: ExperimentConfig) -> Path:
     for spec in run.specs:
         name = f"{spec.project}/{spec.unit}" if config.scenario == "intra" else spec.project
         batch_path = out / "batches" / f"{name}.jsonl"
-        batch_path.parent.mkdir(parents=True, exist_ok=True)
         stream, train = training_stream(run, spec)
         n_lines = write_batches_jsonl(stream, batch_path)
         units_meta.append(
@@ -751,8 +728,8 @@ def export_batches(config: ExperimentConfig) -> Path:
         "seed": config.seed,
         "units": units_meta,
     }
-    _atomic_write(out / "export.json", _json_text(manifest))
-    _atomic_write(out / "folds.json", _json_text(run.folds))
+    write_output(out / "export.json", [_json_text(manifest)])
+    write_output(out / "folds.json", [_json_text(run.folds)])
     return out
 
 
@@ -827,10 +804,10 @@ def execute_run(config: ExperimentConfig) -> Path:
     try:
         log.info("run starting: digest=%s scenario=%s", config.digest(), config.scenario)
         report = _run_units(run, scorer)
-        _atomic_write(run_dir / "report.json", report_to_json(report))
-        _atomic_write(run_dir / "report.csv", render_csv(report))
-        _atomic_write(run_dir / "report.md", render_markdown(report))
-        _atomic_write(run_dir / "folds.json", _json_text(run.folds))
+        write_output(run_dir / "report.json", [report_to_json(report)])
+        write_output(run_dir / "report.csv", [render_csv(report)])
+        write_output(run_dir / "report.md", [render_markdown(report)])
+        write_output(run_dir / "folds.json", [_json_text(run.folds)])
         log.info("run finished: outputs in %s", run_dir)
     finally:
         pkg_logger.removeHandler(handler)

@@ -62,8 +62,11 @@ def dup_lexicon(mode: str = STRICT) -> TriggerLexicon:
 
 def load_lexicon(path: str | Path, mode: str = STRICT) -> TriggerLexicon:
     """Read a lexicon file: one trigger per line, ``#`` comments as in config files."""
-    lines = map(strip_comment, read_input(path, "lexicon file").splitlines())
-    triggers = {line.lower() for line in lines if line}
+    lines = [strip_comment(line).lower() for line in read_input(path, "lexicon file").splitlines()]
+    for lineno, trigger in enumerate(lines, start=1):
+        if any(ch.isspace() for ch in trigger):
+            raise DataError(f"{path}: line {lineno}: trigger {trigger!r} contains whitespace")
+    triggers = set(filter(None, lines))
     if not triggers:
         raise DataError(f"{path}: lexicon file contains no triggers")
     return TriggerLexicon(triggers=frozenset(triggers), mode=mode)

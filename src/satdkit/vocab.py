@@ -31,7 +31,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
-from .errors import DataError, read_input
+from .errors import DataError, read_input, write_output
 from .preprocess import segment_words, split_identifiers
 
 CONTINUATION_PREFIX = "##"
@@ -174,7 +174,7 @@ def load_base_vocabulary(path: str | Path) -> Vocabulary:
 
 
 def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
-    Path(path).write_text("\n".join(vocab.tokens) + "\n", encoding="utf-8")
+    write_output(path, (f"{token}\n" for token in vocab.tokens))
 
 
 def char_base_vocabulary(alphabet: str | None = None) -> Vocabulary:
@@ -251,11 +251,11 @@ def augment_vocabulary(base: Vocabulary, finals: list[CandidateToken]) -> Vocabu
 
 def write_candidate_report(candidates: list[CandidateToken], path: str | Path) -> None:
     """CSV report of candidates: token, project_count, project_fraction."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["token", "project_count", "project_fraction"])
-        for c in candidates:
-            writer.writerow([c.token, c.project_count, f"{c.project_fraction:.6f}"])
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(["token", "project_count", "project_fraction"])
+    writer.writerows([c.token, c.project_count, f"{c.project_fraction:.6f}"] for c in candidates)
+    write_output(path, [buffer.getvalue()])
 
 
 def _word_piece_ids(vocab: Vocabulary, word: str) -> list[int] | None:

@@ -197,7 +197,8 @@ def test_dup_augment_scope_all_oversamples():
 
 def test_dup_augment_id_floor_respected():
     train = [make_comment(0, "// TODO fix", Label.SATD)]
-    augmented, n_dup = dup_augment(train, DUP, id_floor={"P": 50})
+    held_out = [make_comment(49, "// unrelated", Label.NON_SATD)]
+    augmented, n_dup = dup_augment(train, DUP, reserved=held_out)
     assert n_dup == 1
     assert augmented[1].id == 50
 

@@ -193,6 +193,24 @@ def test_unreadable_input_file_fails_before_any_output(tmp_path, capsys, role, f
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("key", ["dup_lexicon", "mat_lexicon"])
+def test_lexicon_trigger_with_space_fails_before_any_output(tmp_path, capsys, key):
+    manifest = write_planted_corpus(tmp_path / "data", n_total=40, n_satd=4, seed=4)
+    lexicon = tmp_path / "lex.txt"
+    lexicon.write_text("todo\nfix me\n", encoding="utf-8")
+    code = main([
+        "run", "--manifest", str(manifest), "--classifier", "linear",
+        "--augmentation", "dup_fmr", "--k", "4", "--epochs", "1",
+        "--outdir", str(tmp_path / "runs"), f"--{key.replace('_', '-')}", str(lexicon),
+    ])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == f"data error: {lexicon}: line 2: trigger 'fix me' contains whitespace\n"
+    assert "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_run_with_incomplete_predictions_leaves_no_directory(tmp_path, capsys):
     manifest = write_planted_corpus(tmp_path / "data", n_total=40, n_satd=4, seed=4)
     predictions = tmp_path / "preds.jsonl"
@@ -269,6 +287,33 @@ def test_vocab_build_needs_no_splittable_units(tmp_path, capsys):
     assert main(["vocab", "build", "--manifest", str(manifest), "--out", str(vocab_path)]) == 0
     assert "discovered" in capsys.readouterr().out
     assert vocab_path.exists()
+
+
+def test_vocab_build_makes_parent_directories(tmp_path, capsys):
+    manifest = write_planted_corpus(tmp_path / "data", n_total=60, n_satd=6, seed=2)
+    vocab_path = tmp_path / "new" / "dir" / "vocab.txt"
+    csv_path = tmp_path / "new" / "c.csv"
+    code = main([
+        "vocab", "build", "--manifest", str(manifest),
+        "--out", str(vocab_path), "--candidates-csv", str(csv_path),
+    ])
+    assert code == 0
+    assert vocab_path.read_text(encoding="utf-8").startswith("[UNK]\n[PAD]\n")
+    assert csv_path.read_text(encoding="utf-8").startswith("token,project_count")
+
+
+def test_failed_export_leaves_no_batch_file(tmp_path, capsys):
+    # fmr draws from the SATD comments of each training split, and C has none
+    manifest = write_corpus(tmp_path / "data", {"C": planted_rows(1, 40, 0)})
+    export_dir = tmp_path / "export"
+    code = main([
+        "export-batches", "--manifest", str(manifest), "--scenario", "intra",
+        "--augmentation", "fmr", "--k", "4", "--epochs", "1",
+        "--export-path", str(export_dir),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == "data error: empty SATD pool\n"
+    assert [p for p in export_dir.rglob("*") if p.is_file()] == []
 
 
 def test_export_and_import_commands(tmp_path, capsys):

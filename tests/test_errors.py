@@ -1,0 +1,50 @@
+"""The one reader and the one writer of data files."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from satdkit.errors import write_output
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "satdkit"
+
+# calls that open a file, or read or write one whole
+FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+
+
+def test_only_the_errors_module_opens_files():
+    # every input goes through read_input and every output through
+    # write_output, so a new output file lands whole like the others
+    calls = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in FILE_CALLS:
+                calls.append(f"{path.relative_to(SRC)}:{node.lineno}: {name}")
+    assert calls == []
+
+
+def test_write_output_keeps_line_ends(tmp_path):
+    path = tmp_path / "out.txt"
+    assert write_output(path, ["a\r\n", "b\n"]) == 2
+    assert path.read_bytes() == b"a\r\nb\n"
+
+
+def test_write_output_failing_midway_keeps_the_old_file(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old\n")
+
+    def parts():
+        yield "new\n"
+        raise RuntimeError("midway")
+
+    with pytest.raises(RuntimeError, match="midway"):
+        write_output(path, parts())
+    assert path.read_bytes() == b"old\n"
+    assert list(tmp_path.glob("*.tmp")) == []
