@@ -127,15 +127,20 @@ def fmr_batches(train: list[Comment], cfg: SamplerConfig) -> Iterator[Batch]:
     An independent seeded coin with probability ``trigger_prob`` decides
     whether a batch is adjusted; unadjusted batches pass through untouched
     and are identical to the plain stream under the same seed. Adjusted
-    batches draw from the SATD comments of ``train``, in train order.
+    batches draw from the SATD comments of ``train``, in train order; an
+    empty pool fails at the call, before any batch.
     """
     satd_pool = [c for c in train if c.label is Label.SATD]
     if not satd_pool:
         raise DataError("empty SATD pool")
+    return _fmr_stream(train, satd_pool, cfg)
+
+
+def _fmr_stream(train: list[Comment], pool: list[Comment], cfg: SamplerConfig) -> Iterator[Batch]:
     for batch in plain_batches(train, cfg):
         rng = seeded_rng(cfg.seed, _BATCH_STREAM, batch.epoch, batch.batch_index)
         if rng.random() < cfg.trigger_prob:
-            items = rebalance_items(batch.items, satd_pool, cfg.target_ratio, rng)
+            items = rebalance_items(batch.items, pool, cfg.target_ratio, rng)
             yield replace(batch, items=items, adjusted=True)
         else:
             yield batch

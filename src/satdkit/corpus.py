@@ -18,7 +18,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterator
 
-from .errors import DataError, read_input
+from .errors import DataError, read_input, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -92,7 +92,7 @@ def load_label_mapping(path: str | Path) -> LabelMapping:
     Comments follow :func:`strip_comment`; the pattern ``*`` sets the default
     for unmatched non-empty labels.
     """
-    lines = read_input(path, "label mapping").splitlines()
+    lines = read_lines(path, "label mapping")
     rules: list[tuple[str, Label]] = []
     default: Label | None = None
     for lineno, raw in enumerate(lines, start=1):
@@ -231,7 +231,7 @@ def parse_manifest(path: str | Path) -> list[tuple[str, Path]]:
     """
     path = Path(path)
     entries: list[tuple[str, Path]] = []
-    for lineno, raw in enumerate(read_input(path, "manifest").splitlines(), start=1):
+    for lineno, raw in enumerate(read_lines(path, "manifest"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -2,13 +2,13 @@
 the one writer of data files.
 
 The three concrete classes map onto the CLI exit codes: ConfigError -> 1,
-DataError -> 2, RunError -> 3. ``read_input`` reads every input file (the
-dataset CSVs, manifest, label mapping, base vocabulary, denylist, lexicons,
-predictions, a saved report and the config file) as UTF-8 without a leading
-byte-order mark, keeping line ends as written. A file that is missing,
-unreadable (a directory, say) or not UTF-8 is one DataError naming its role
-and path, raised before any parsing; the config file re-raises it as a
-ConfigError.
+DataError -> 2, RunError -> 3. ``read_input`` reads every input file as UTF-8
+without a leading byte-order mark, keeping line ends as written. A file that
+is missing, unreadable (a directory, say) or not UTF-8 is one DataError naming
+its role and path, raised before any parsing; the config file re-raises it as
+a ConfigError. ``read_lines`` ends the lines of the seven line-oriented inputs
+(config, manifest, label mapping, base vocabulary, denylist, lexicons and
+predictions) at LF, CR LF and CR only: a form feed or U+2028 stays in its line.
 
 ``write_output`` writes every output file (reports, manifests, batch exports,
 vocabularies, candidate reports) whole or not at all, making its parent
@@ -48,6 +48,12 @@ def read_input(path: str | Path, role: str) -> str:
         raise DataError(f"cannot read {role} {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot read {role} {path}: not UTF-8 ({exc.reason})") from None
+
+
+def read_lines(path: str | Path, role: str) -> list[str]:
+    """The lines of the input file at ``path``; a final line end adds no empty line."""
+    lines = read_input(path, role).replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
 
 
 def write_output(path: str | Path, parts: Iterable[str]) -> int:

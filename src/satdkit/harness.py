@@ -57,7 +57,7 @@ from .corpus import (
     load_label_mapping,
     strip_comment,
 )
-from .errors import ConfigError, DataError, RunError, SatdkitError, read_input, write_output
+from .errors import ConfigError, DataError, RunError, SatdkitError, read_lines, write_output
 from .evalkit import (
     MetricResult,
     compute_metrics,
@@ -203,11 +203,11 @@ CONFIG_KEYS = tuple(_FIELD_PARSERS)
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Read a flat ``key = value`` config file; ``#`` comments as in ``strip_comment``."""
     try:
-        text = read_input(path, "config file")
+        lines = read_lines(path, "config file")
     except DataError as exc:
         raise ConfigError(str(exc)) from None
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         stripped = strip_comment(line)
         if not stripped:
             continue
@@ -705,10 +705,11 @@ def export_batches(config: ExperimentConfig) -> Path:
     out = Path(config.export_path)
     run = prepare_run(config)
     units_meta = []
-    for spec in run.specs:
+    # every unit's stream first, so a unit that cannot train fails before any file
+    streams = [training_stream(run, spec) for spec in run.specs]
+    for spec, (stream, train) in zip(run.specs, streams):
         name = f"{spec.project}/{spec.unit}" if config.scenario == "intra" else spec.project
         batch_path = out / "batches" / f"{name}.jsonl"
-        stream, train = training_stream(run, spec)
         n_lines = write_batches_jsonl(stream, batch_path)
         units_meta.append(
             {
@@ -744,9 +745,7 @@ def import_predictions(
     missing pairs are listed in the error.
     """
     predictions: dict[tuple[str, int], float] = {}
-    # lines end at \n, \r\n or \r; str.splitlines would also split at \u2028
-    lines = io.StringIO(read_input(path, "predictions file"), newline=None)
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_lines(path, "predictions file"), start=1):
         if not line.strip():
             continue
         try:

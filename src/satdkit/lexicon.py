@@ -15,7 +15,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .corpus import strip_comment
-from .errors import DataError, read_input
+from .errors import DataError, read_lines
 
 STRICT = "strict"
 FUZZY = "fuzzy"
@@ -62,7 +62,7 @@ def dup_lexicon(mode: str = STRICT) -> TriggerLexicon:
 
 def load_lexicon(path: str | Path, mode: str = STRICT) -> TriggerLexicon:
     """Read a lexicon file: one trigger per line, ``#`` comments as in config files."""
-    lines = [strip_comment(line).lower() for line in read_input(path, "lexicon file").splitlines()]
+    lines = [strip_comment(line).lower() for line in read_lines(path, "lexicon file")]
     for lineno, trigger in enumerate(lines, start=1):
         if any(ch.isspace() for ch in trigger):
             raise DataError(f"{path}: line {lineno}: trigger {trigger!r} contains whitespace")

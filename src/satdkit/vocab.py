@@ -31,7 +31,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
-from .errors import DataError, read_input, write_output
+from .errors import DataError, read_lines, write_output
 from .preprocess import segment_words, split_identifiers
 
 CONTINUATION_PREFIX = "##"
@@ -162,9 +162,7 @@ class TokenSequence:
 
 def load_base_vocabulary(path: str | Path) -> Vocabulary:
     """Read a one-token-per-line vocabulary file; line number = token id."""
-    # lines end at \n, \r\n or \r only: a token holding \x0c is rejected, not split
-    text = read_input(path, "vocabulary file")
-    tokens = [line.rstrip("\n") for line in io.StringIO(text, newline=None)]
+    tokens = read_lines(path, "vocabulary file")
     if tokens and tokens[-1] == "":
         tokens.pop()
     try:
@@ -237,8 +235,11 @@ def discover_candidate_tokens(
 
 def load_denylist(path: str | Path) -> frozenset[str]:
     """The tokens of a denylist file (one per line), which discovery must not add."""
-    lines = read_input(path, "denylist").splitlines()
-    return frozenset(line.strip() for line in lines if line.strip())
+    entries = [line.strip() for line in read_lines(path, "denylist")]
+    for lineno, entry in enumerate(entries, start=1):
+        if any(ch.isspace() for ch in entry):
+            raise DataError(f"{path}: line {lineno}: token {entry!r} contains whitespace")
+    return frozenset(filter(None, entries))
 
 
 def augment_vocabulary(base: Vocabulary, finals: list[CandidateToken]) -> Vocabulary:

@@ -9,7 +9,9 @@ import pytest
 
 from helpers import planted_rows, write_corpus, write_planted_corpus
 from satdkit.cli import build_parser, main
+from satdkit.corpus import LabelMapping, load_collection
 from satdkit.harness import CONFIG_KEYS
+from satdkit.vocab import char_base_vocabulary
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -193,6 +195,72 @@ def test_unreadable_input_file_fails_before_any_output(tmp_path, capsys, role, f
     assert not (tmp_path / "runs").exists()
 
 
+# str.splitlines also ends a line at these; read_lines keeps each inside its line
+SEPARATOR_CHARS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+LINE_ENDS = ["\r\n", "\r", "mixed"]
+
+
+def _input_lines(role, manifest):
+    """Three or more lines that make a valid ``role`` input for ``manifest``'s
+    corpus, in which the last two joined into one line are malformed."""
+    if role == "config":
+        return ["seed = 1", "batch_size = 8", "trigger_prob = 0.1"]  # no key the flags set
+    if role == "manifest":
+        return ["# projects", "Alpha\tAlpha.csv", "Beta\tBeta.csv"]
+    if role == "label_mapping":
+        return ["# standard", "WITHOUT_CLASSIFICATION -> NON_SATD", "* -> SATD"]
+    if role == "vocab_base":
+        return list(char_base_vocabulary().tokens)
+    if role == "vocab_denylist":
+        return ["ns", "li", "zz"]
+    if role == "predictions":
+        collection = load_collection(manifest, LabelMapping.standard())
+        return [json.dumps({"project": c.project, "id": c.id, "score": 0.5})
+                for ds in collection for c in ds.comments]
+    return ["todo", "fixme", "hack"]  # dup_lexicon, mat_lexicon
+
+
+@pytest.mark.parametrize("sep", SEPARATOR_CHARS + LINE_ENDS)
+@pytest.mark.parametrize("role", [r for r in INPUT_FILES if r != "dataset"])
+def test_line_oriented_inputs_end_lines_at_lf_crlf_and_cr_only(tmp_path, capsys, role, sep):
+    manifest = write_corpus(tmp_path / "data", {
+        "Alpha": planted_rows(1, 24, 4), "Beta": planted_rows(2, 24, 4),
+    })
+    lines = _input_lines(role, manifest)
+    path = tmp_path / "data" / "manifest.tsv" if role == "manifest" else tmp_path / "input.txt"
+    if sep in LINE_ENDS:
+        ends = ["\r\n", "\r", "\n"] if sep == "mixed" else [sep]
+        text = "".join(line + ends[i % len(ends)] for i, line in enumerate(lines))
+    else:
+        text = "\n".join(lines[:-2] + [lines[-2] + sep + lines[-1]]) + "\n"
+    path.write_bytes(text.encode("utf-8"))
+    flags = {
+        "manifest": manifest, "classifier": "linear", "augmentation": "fmr",
+        "k": "4", "epochs": "1", "outdir": tmp_path / "runs",
+    }
+    if role == "predictions":
+        flags.update(classifier="external", export_path=tmp_path / "export",
+                     predictions_path=path)
+    elif role != "manifest":
+        flags[role] = path
+    code = main(["run", *(f for key, value in flags.items()
+                          for f in (f"--{key.replace('_', '-')}", str(value)))])
+    out, err = capsys.readouterr()
+    if sep in LINE_ENDS:
+        assert (code, err) == (0, "")
+        assert len(list((tmp_path / "runs").glob("*/report.json"))) == 1
+        return
+    # the joined line is one line, and its parser rejects it
+    assert out == ""
+    if role == "config":
+        # a config value error names its key, not the file
+        assert code == 1 and err.startswith("config error: invalid value for 'batch_size'")
+    else:
+        assert code == 2 and err.startswith(f"data error: {path}")
+    assert "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("key", ["dup_lexicon", "mat_lexicon"])
 def test_lexicon_trigger_with_space_fails_before_any_output(tmp_path, capsys, key):
     manifest = write_planted_corpus(tmp_path / "data", n_total=40, n_satd=4, seed=4)
@@ -314,6 +382,23 @@ def test_failed_export_leaves_no_batch_file(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == "data error: empty SATD pool\n"
     assert [p for p in export_dir.rglob("*") if p.is_file()] == []
+
+
+def test_failed_export_leaves_no_export_directory(tmp_path, capsys):
+    # A's units could be written, but C's fails first: no unit's file is
+    # written before every unit's stream is built
+    manifest = write_corpus(tmp_path / "data", {
+        "A": planted_rows(1, 40, 4), "C": planted_rows(2, 40, 0),
+    })
+    export_dir = tmp_path / "export"
+    code = main([
+        "export-batches", "--manifest", str(manifest), "--scenario", "intra",
+        "--augmentation", "fmr", "--k", "4", "--epochs", "1",
+        "--export-path", str(export_dir),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == "data error: empty SATD pool\n"
+    assert not export_dir.exists()
 
 
 def test_export_and_import_commands(tmp_path, capsys):

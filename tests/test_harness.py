@@ -85,6 +85,14 @@ def test_config_file_with_byte_order_mark_and_crlf_reads_as_plain(tmp_path):
     assert build_config(marked).seed == 4
 
 
+def test_config_comment_holding_a_form_feed_stays_a_comment(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("manifest = m.tsv\nseed = 1  # was 2\x0cepochs = 9\n", encoding="utf-8")
+    config = build_config(cfg_file)
+    assert config.seed == 1
+    assert config.epochs == ExperimentConfig(manifest="m.tsv").epochs != 9
+
+
 def test_config_unknown_key(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("mystery = 1\n", encoding="utf-8")

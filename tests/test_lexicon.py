@@ -175,6 +175,13 @@ def test_load_lexicon_drops_byte_order_mark(tmp_path):
     assert load_lexicon(path).triggers == frozenset({"todo", "ugly"})
 
 
+def test_load_lexicon_counts_lines_across_a_comment_holding_nel(tmp_path):
+    path = tmp_path / "lex.txt"
+    path.write_text("todo  # tag\x85debt\nfix me\n", encoding="utf-8")
+    with pytest.raises(DataError, match="line 2: trigger 'fix me' contains whitespace"):
+        load_lexicon(path)
+
+
 def test_is_marker_only():
     assert is_marker_only("")
     assert is_marker_only("   ")

@@ -169,6 +169,14 @@ def test_load_denylist(tmp_path):
         load_denylist(tmp_path / "missing.txt")
 
 
+def test_denylist_token_with_whitespace_names_file_and_line(tmp_path):
+    deny = tmp_path / "deny.txt"
+    deny.write_text("ns\nfix me\n", encoding="utf-8")
+    with pytest.raises(DataError) as excinfo:
+        load_denylist(deny)
+    assert str(excinfo.value) == f"{deny}: line 2: token 'fix me' contains whitespace"
+
+
 def test_augment_vocabulary():
     base = toy_vocab("fix")
     finals = [CandidateToken("todo", 5, 0.5), CandidateToken("hack", 4, 0.4)]
