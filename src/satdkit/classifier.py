@@ -13,8 +13,9 @@ batch-export / prediction-import bridge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -23,13 +24,22 @@ from .corpus import Label
 from .errors import RunError
 from .lexicon import TriggerLexicon, find_triggers
 from .preprocess import split_identifiers  # noqa: F401  (bench/tracer.py patches this name)
-from .vocab import Vocabulary, WordCache, tokenize
+from .vocab import Vocabulary, WordCache, tokenize, tokenize_texts
+
+# numpy sums a row of up to this many float64s as one pairwise block
+PAIRWISE_MAX = 127
 
 
 @dataclass(frozen=True)
 class LinearHyper:
     learning_rate: float = 0.1
     l2: float = 1e-4
+
+    def __post_init__(self) -> None:
+        for name in ("learning_rate", "l2"):
+            value = getattr(self, name)
+            if not (value >= 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be >= 0 and finite, got {value}")
 
 
 @dataclass
@@ -54,6 +64,69 @@ def presence_features(
     return tuple(sorted(set(seq.ids) - vocab.special_ids))
 
 
+@dataclass(frozen=True)
+class PairwiseRows:
+    """Rows of feature ids laid out so that one ``sum(axis=1)`` adds each row
+    bit for bit as ``np.add.reduce`` adds that row alone.
+
+    numpy adds n <= 127 float64s in order from 0.0 when n < 8, and otherwise
+    in 8 lanes over the floor(n/8) full blocks of 8, combined by a fixed
+    tree, and then the rest in order. So a row of n ids holds its first
+    8*floor(n/8) ids, then ``pad`` (an id whose weight stays 0), then its
+    last n % 8 ids in the final columns, and the width is
+    8*max(1, floor(n_max/8)) + 7: extra blocks only add zeros to the lanes.
+    numpy splits a row wider than 127 in halves, so when one has more than
+    127 ids, the sum reads the first 120 and last 7 columns (which hold every
+    shorter row) and each longer row is reduced on its own.
+    """
+
+    ids: np.ndarray  # (rows, width)
+    pad: int
+    short: np.ndarray  # ``ids``, or its 127 columns that hold the shorter rows
+    long: dict[int, np.ndarray]  # the ids of each row over PAIRWISE_MAX, by row
+
+    @classmethod
+    def from_flat(cls, ids: np.ndarray, counts: np.ndarray, pad: int) -> "PairwiseRows":
+        """The layout of rows given as their ids back to back and each row's count."""
+        width = 8 * max(1, int(counts.max(initial=0)) // 8) + 7
+        starts = np.cumsum(counts) - counts
+        position = np.arange(len(ids)) - np.repeat(starts, counts)
+        tail = position >= np.repeat(counts - counts % 8, counts)
+        block = np.full((len(counts), width), pad, dtype=np.intp)
+        block[np.repeat(np.arange(len(counts)), counts),
+              np.where(tail, position + np.repeat(width - counts, counts), position)] = ids
+        long = {r: ids[starts[r]:starts[r] + counts[r]]
+                for r in np.flatnonzero(counts > PAIRWISE_MAX).tolist()}
+        short = block if width <= PAIRWISE_MAX else block[:, np.r_[:PAIRWISE_MAX - 7, -7:0]]
+        return cls(block, pad, short, long)
+
+    def sums(self, w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Each listed row's sum of ``w`` over its ids."""
+        z = w[self.short[rows]].sum(axis=1)
+        if self.long:
+            for i, r in enumerate(rows.tolist()):
+                if r in self.long:
+                    z[i] = np.add.reduce(w[self.long[r]])
+        return z
+
+
+def presence_rows(
+    vocab: Vocabulary, words: WordCache, texts: Sequence[str], max_seq_len: int = 128
+) -> PairwiseRows:
+    """``presence_features`` of every text, one row each, in one numpy pass."""
+    pieces, key = tokenize_texts(vocab, words, texts, max_seq_len)
+    special = np.zeros(vocab.size, dtype=bool)
+    special[list(vocab.special_ids)] = True
+    # turn each piece's text index into a (text, id) key in place, then
+    # dedupe each row by sorting the keys and dropping repeats (np.unique
+    # would take a slower hash path)
+    key *= vocab.size
+    key += pieces
+    key = np.sort(key[~special[pieces]])
+    rows, ids = np.divmod(key[np.diff(key, prepend=-1) != 0], vocab.size)
+    return PairwiseRows.from_flat(ids, np.bincount(rows, minlength=len(texts)), vocab.pad_id)
+
+
 def train_linear(
     stream: Iterable[Batch],
     vocab: Vocabulary,
@@ -64,44 +137,46 @@ def train_linear(
     """Mini-batch gradient descent on mean binary cross-entropy with an L2
     penalty (loss = mean BCE + l2/2 * ||w||^2; the bias is unpenalized).
 
-    Batches are consumed in stream order; weights start at zero, so training
-    is fully deterministic for a fixed stream. An empty stream returns the
-    zero state. Each distinct comment text is featurized once, from
-    ``words``, and a batch's gradient is one ``bincount`` over its items'
-    feature ids.
+    The stream is read whole, then its batches train in stream order; weights
+    start at zero, so training is fully deterministic for a fixed stream. An
+    empty stream returns the zero state. The distinct comment texts of the
+    stream are featurized together, from ``words``, into one ``PairwiseRows``
+    matrix. A batch's scores are then one row sum, bit for bit a per-row
+    ``np.add.reduce`` (which adds pairwise) because of that matrix's layout,
+    up to 127 features a row; a longer row, possible only at max_seq_len >
+    129, is reduced on its own. The gradient is one ``bincount`` over the
+    rows' ids.
     """
-    if hyper.learning_rate < 0:
-        raise ValueError(f"learning_rate must be >= 0, got {hyper.learning_rate}")
+    batches = list(stream)
+    items = [c for batch in batches for c in batch.items]
+    # two comments may share a text and differ in label: rows by text, labels by item
+    texts = [c.text for c in items]
+    row_of = {text: row for row, text in enumerate(dict.fromkeys(texts))}
+    item_rows = np.fromiter(map(row_of.__getitem__, texts), np.intp, len(texts))
+    labels = np.array([c.label is Label.SATD for c in items], dtype=np.float64)
+    matrix = presence_rows(vocab, words, list(row_of), max_seq_len)
     w = np.zeros(vocab.size, dtype=np.float64)
     b = 0.0
-    # the feature ids of each distinct comment text, as an index array
-    feats_of: dict[str, np.ndarray] = {}
+    end = 0
     # overflow to inf is what the loss's finiteness check catches; one errstate per fit
     with np.errstate(over="ignore"):
-        for batch in stream:
-            cols = []
-            for c in batch.items:
-                f = feats_of.get(c.text)
-                if f is None:
-                    feats = presence_features(vocab, words[c.text], max_seq_len)
-                    f = feats_of[c.text] = np.array(feats, dtype=np.intp)
-                cols.append(f)
-            y = np.array([c.label is Label.SATD for c in batch.items], dtype=np.float64)
-            # one reduce per row, which adds pairwise; reduceat or a sparse
-            # matvec would add sequentially and move the last bits of z
-            z = np.fromiter([np.add.reduce(w[f]) for f in cols], np.float64, len(cols)) + b
+        for batch in batches:
+            start, end = end, end + len(batch.items)
+            rows, y = item_rows[start:end], labels[start:end]
+            z = matrix.sums(w, rows) + b
             p = logistic(z)
             # stable BCE: log(1+e^z) - y*z, plus the quadratic penalty
             loss = float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * hyper.l2 * float(w @ w))
             if not np.isfinite(loss):
                 raise RunError(f"non-finite loss at epoch {batch.epoch} batch {batch.batch_index}")
             g = p - y
-            # each feature sums its items' g from 0.0 in item order (bincount
-            # returns ints when no item has a feature; the division makes floats)
-            lens = [len(f) for f in cols]
-            grad = np.bincount(
-                np.concatenate(cols), weights=np.repeat(g, lens), minlength=vocab.size
-            ) / len(y)
+            # each feature sums its items' g from 0.0 in item order; the pad
+            # bin collects the padding's terms and is dropped
+            block = matrix.ids[rows]
+            weights = np.repeat(g, block.shape[1])
+            grad = np.bincount(block.ravel(), weights=weights, minlength=vocab.size)
+            grad[matrix.pad] = 0.0
+            grad /= len(y)
             w = (1.0 - hyper.learning_rate * hyper.l2) * w - hyper.learning_rate * grad
             b -= hyper.learning_rate * float(g.mean())
     return LinearModelState(weights=w, bias=b)

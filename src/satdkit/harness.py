@@ -137,12 +137,9 @@ class ExperimentConfig:
             raise ConfigError(f"k must be >= 2, got {self.k}")
         try:
             _sampler_config(self, self.seed)
+            classifier.LinearHyper(self.learning_rate, self.l2)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        for name in ("learning_rate", "l2"):
-            value = getattr(self, name)
-            if not (value >= 0 and math.isfinite(value)):
-                raise ConfigError(f"{name} must be >= 0 and finite, got {value}")
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError(f"threshold must be in [0, 1], got {self.threshold}")
         if self.max_seq_len < 2:

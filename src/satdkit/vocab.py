@@ -29,7 +29,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import DataError, read_lines, write_output
 from .preprocess import segment_words, split_identifiers
@@ -95,6 +97,10 @@ class Vocabulary:
     @property
     def sep_id(self) -> int:
         return self.index[SEP]
+
+    @property
+    def pad_id(self) -> int:
+        return self.index[PAD]
 
     @cached_property
     def special_ids(self) -> frozenset[int]:
@@ -193,11 +199,29 @@ def char_base_vocabulary(alphabet: str | None = None) -> Vocabulary:
 
 class WordCache(dict[str, tuple[str, ...]]):
     """Run-scoped map from raw comment text to its words (identifier split,
-    then segmented), computed on first lookup."""
+    then segmented), computed on first lookup. ``word_ids`` interns a text's
+    words as indices into ``word_list``, once per run."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.word_list: list[str] = []
+        self._word_index: dict[str, int] = {}
+        self._text_ids: dict[str, np.ndarray] = {}
 
     def __missing__(self, text: str) -> tuple[str, ...]:
         words = self[text] = tuple(segment_words(split_identifiers(text)))
         return words
+
+    def word_ids(self, text: str) -> np.ndarray:
+        ids = self._text_ids.get(text)
+        if ids is None:
+            index = self._word_index
+            for word in self[text]:
+                if word not in index:
+                    index[word] = len(self.word_list)
+                    self.word_list.append(word)
+            ids = self._text_ids[text] = np.array([index[w] for w in self[text]], dtype=np.intp)
+        return ids
 
     def project_words(self, comments: Iterable) -> list[set[str]]:
         """One word set per project of ``comments``, in first-seen order."""
@@ -329,3 +353,40 @@ def tokenize(
     ids = (vocab.cls_id, *piece_ids, vocab.sep_id)
     return TokenSequence(ids=ids, truncated=truncated)
 
+
+def tokenize_texts(
+    vocab: Vocabulary, words: WordCache, texts: Sequence[str], max_seq_len: int = 128
+) -> tuple[np.ndarray, np.ndarray]:
+    """What ``tokenize`` puts between CLS and SEP for each of ``texts``, in
+    one numpy pass: every text's capped pieces in order, as one flat id
+    array, and the index in ``texts`` of the text each piece belongs to.
+
+    The pieces come from a table over the texts' distinct words only, read
+    from the vocabulary's memo.
+    """
+    if max_seq_len < 2:
+        raise ValueError(f"max_seq_len must be >= 2, got {max_seq_len}")
+    text_words = [words.word_ids(t) for t in texts]
+    occurrences = np.concatenate([np.empty(0, np.intp), *text_words])
+    present = np.zeros(len(words.word_list), dtype=bool)
+    present[occurrences] = True
+    memo = vocab.pieces
+    used = [words.word_list[i] for i in np.flatnonzero(present).tolist()]
+    table = [memo.get(w) or _piece_ids(vocab, w) for w in used]
+    table_lens = np.fromiter(map(len, table), np.intp, len(table))
+    table_ids = np.fromiter(chain.from_iterable(table), np.intp, int(table_lens.sum()))
+    # each word occurrence's table entry, piece count and text
+    entry = (np.cumsum(present) - 1)[occurrences]
+    n_pieces = table_lens[entry]
+    n_words = np.fromiter(map(len, text_words), np.intp, len(texts))
+    text = np.repeat(np.arange(len(texts)), n_words)
+    # the pieces before each occurrence in its text, and how many of its own
+    # fit before the cut at max_seq_len - 2
+    before = np.cumsum(n_pieces) - n_pieces
+    before -= np.append(before, 0)[np.cumsum(n_words) - n_words][text]
+    n_kept = np.clip(max_seq_len - 2 - before, 0, n_pieces)
+    # expand each occurrence into its kept pieces, in order
+    first = (np.cumsum(table_lens) - table_lens)[entry]
+    at = np.repeat(first - (np.cumsum(n_kept) - n_kept), n_kept)
+    at += np.arange(len(at))
+    return table_ids[at], np.repeat(text, n_kept)

@@ -13,10 +13,12 @@ from satdkit.augment import Batch, SamplerConfig, dup_augment, fmr_batches, plai
 from satdkit.classifier import (
     LinearHyper,
     LinearModelState,
+    PairwiseRows,
     logistic,
     mat_score,
     predict_linear,
     presence_features,
+    presence_rows,
     train_linear,
 )
 from satdkit.corpus import Label
@@ -24,6 +26,7 @@ from satdkit.errors import RunError
 from satdkit.lexicon import FUZZY, STRICT, TriggerLexicon, dup_lexicon, mat_lexicon
 from satdkit.preprocess import split_identifiers
 from satdkit.vocab import (
+    MAX_WORD_CHARS,
     CandidateToken,
     Vocabulary,
     WordCache,
@@ -117,11 +120,26 @@ def _reference_train_linear(stream, vocab, words, hyper=LinearHyper(), max_seq_l
     return LinearModelState(weights=w, bias=b)
 
 
+def _long_text(rng):
+    """Lower-case, upper-case and digit words (each kept whole by the
+    identifier split) in which every character starts a word and continues
+    one, plus random such words and the common words: under ORACLE_VOCAB
+    over 127 distinct features, so a pairwise sum of one row recurses."""
+    words = list(COMMON_WORDS)
+    for alphabet in ("abcdefghijklmnopqrstuvwxyz", "ABCDEFGHIJKLMNOPQRSTUVWXYZ", "0123456789"):
+        words += [a + b for a, b in zip(alphabet, alphabet[1:] + alphabet[0])]
+        words += ["".join(rng.choice(alphabet) for _ in range(rng.randint(3, 9))) for _ in range(10)]
+    rng.shuffle(words)
+    return " ".join(words)
+
+
 def _oracle_streams(seed):
     """Seeded plain, fmr and dup_fmr streams over a planted project whose
     comments have up to 36 features each (character pieces plus some whole
     words; from 8 features on, a pairwise and a sequential sum can differ),
-    with an all-UNK comment and a repeated one mixed in."""
+    with an all-UNK comment and a repeated one mixed in; a batch holding one
+    text under both labels; and a stream mixing comments of more than 127
+    features with short ones. Each comes with the max_seq_len to train at."""
     train = planted_project_comments(seed, 120, 15, "P")
     train.append(make_comment(500, "ÄÖÜ éè ß", Label.SATD))  # all UNK: no features
     train.append(make_comment(501, "ÄÖÜ ñ", Label.NON_SATD))
@@ -129,10 +147,16 @@ def _oracle_streams(seed):
     augmented, n_dup = dup_augment(train, dup_lexicon())
     assert n_dup > 0
     repeated = _batch([train[0]] * 5 + [train[1], train[0], train[-2]], batch_index=99)
+    shared = [make_comment(600, train[3].text, Label.SATD),
+              make_comment(601, train[3].text, Label.NON_SATD)]
+    rng = random.Random(seed)
+    long = [make_comment(700 + i, _long_text(rng), rng.choice(list(Label))) for i in range(6)]
     return {
-        "plain": list(plain_batches(train, cfg)),
-        "fmr": list(fmr_batches(train, cfg)),
-        "dup_fmr": list(fmr_batches(augmented, cfg)) + [repeated],
+        "plain": (list(plain_batches(train, cfg)), 128),
+        "fmr": (list(fmr_batches(train, cfg)), 128),
+        "dup_fmr": (list(fmr_batches(augmented, cfg)) + [repeated], 128),
+        "shared_text": ([_batch(shared + train[:6]), _batch(shared[::-1] + train[6:12])], 128),
+        "long_rows": (list(plain_batches(train[:30] + train[-2:] + long, cfg)), 1024),
     }
 
 
@@ -144,12 +168,67 @@ ORACLE_VOCAB = augment_vocabulary(
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("hyper", [LinearHyper(), LinearHyper(learning_rate=1.0, l2=1e-3)])
 def test_train_linear_is_bit_exact_to_per_item_loop(seed, hyper):
-    for name, stream in _oracle_streams(seed).items():
-        got = train_linear(stream, ORACLE_VOCAB, WORDS, hyper)
-        want = _reference_train_linear(stream, ORACLE_VOCAB, WORDS, hyper)
+    for name, (stream, n) in _oracle_streams(seed).items():
+        got = train_linear(stream, ORACLE_VOCAB, WORDS, hyper, n)
+        want = _reference_train_linear(stream, ORACLE_VOCAB, WORDS, hyper, n)
         assert np.array_equal(got.weights, want.weights), name
         assert got.bias == want.bias, name
         assert got.weights.any(), name
+
+
+def _pairwise_case(lengths, seed):
+    """Rows of ``lengths`` consecutive ids into seeded random weights of
+    mixed magnitude; id 0 is the pad and weighs 0."""
+    rng = np.random.default_rng(seed)
+    total = int(sum(lengths))
+    w = np.concatenate(([0.0], rng.standard_normal(total) * 10.0 ** rng.integers(-4, 5, total)))
+    ids = np.arange(1, total + 1)
+    starts = np.cumsum(lengths) - lengths
+    want = np.array([np.add.reduce(w[ids[s:s + n]]) for s, n in zip(starts, lengths)])
+    return PairwiseRows.from_flat(ids, np.asarray(lengths), pad=0), w, want
+
+
+def test_pairwise_row_sums_equal_add_reduce_of_each_row():
+    # every length 0..400 three times in one layout (wider than 127 columns),
+    # in a shuffled row order, and each length alone in its own layout
+    lengths = np.repeat(np.arange(401), 3)
+    rows, w, want = _pairwise_case(lengths, 11)
+    order = np.random.default_rng(12).permutation(len(lengths))
+    assert np.array_equal(rows.sums(w, order), want[order])
+    for n in range(401):
+        rows, w, want = _pairwise_case([n], n)
+        assert np.array_equal(rows.sums(w, np.array([0])), want), n
+        assert rows.ids.shape[1] == 8 * max(1, n // 8) + 7
+
+
+def test_presence_rows_equal_presence_features_text_by_text():
+    words = WordCache()
+    words["special word"] = ("[CLS]", "w03", "[SEP]x", "[PAD]")  # specials as words
+    texts = [
+        "ÄÖÜ éè ß",  # all UNK
+        "x" * (MAX_WORD_CHARS + 1) + " w03 abc",  # a word over the length cap
+        "special word",
+        "",
+        "//",
+        "value w03 parser w06 cache w03",
+        "value w03 parser w06 cache w03",  # duplicate text
+        _long_text(random.Random(3)),
+    ]
+    for n in (2, 3, 10, 128, 1024):
+        matrix = presence_rows(ORACLE_VOCAB, words, texts, n)
+        assert matrix.ids.shape[0] == len(texts)
+        for row, text in zip(matrix.ids, texts):
+            got = tuple(row[row != matrix.pad].tolist())
+            assert got == presence_features(ORACLE_VOCAB, words[text], n), (n, text[:20])
+    assert len(presence_features(ORACLE_VOCAB, words[texts[-1]], 1024)) > 127
+    assert presence_rows(ORACLE_VOCAB, words, [], 128).ids.shape[0] == 0
+
+
+@pytest.mark.parametrize("field", ["learning_rate", "l2"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-9])
+def test_linear_hyper_rejects_negative_and_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be >= 0 and finite"):
+        LinearHyper(**{field: value})
 
 
 def test_train_linear_empty_features_and_stream_match_oracle():
