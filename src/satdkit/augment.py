@@ -17,12 +17,12 @@ be re-generated independently and streams are fully reproducible.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -35,6 +35,8 @@ from .lexicon import find_triggers  # noqa: F401  (bench/tracer.py patches this 
 # even under one experiment seed.
 _SHUFFLE_STREAM = 1
 _BATCH_STREAM = 2
+
+T = TypeVar("T")
 
 DUP_SCOPE_TRIGGERED = "triggered"
 DUP_SCOPE_ALL = "all"
@@ -69,17 +71,24 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class Batch:
-    """One training batch of labeled comments."""
+    """One training batch: ``rows`` are positions in ``train``, the one list
+    that every batch of its stream draws from; ``items`` builds the batch's
+    comments from them on each access."""
 
-    items: tuple[Comment, ...]
+    train: Sequence[Comment] = field(repr=False)
+    rows: tuple[int, ...]
     adjusted: bool
     epoch: int
     batch_index: int
 
+    @property
+    def items(self) -> tuple[Comment, ...]:
+        return tuple(map(self.train.__getitem__, self.rows))
+
     def label_counts(self) -> tuple[int, int]:
         """(n_satd, n_non_satd) for this batch."""
         n_satd = sum(1 for c in self.items if c.label is Label.SATD)
-        return n_satd, len(self.items) - n_satd
+        return n_satd, len(self.rows) - n_satd
 
 
 def plain_batches(train: list[Comment], cfg: SamplerConfig) -> Iterator[Batch]:
@@ -91,27 +100,32 @@ def plain_batches(train: list[Comment], cfg: SamplerConfig) -> Iterator[Batch]:
     if not train:
         raise DataError("empty training set")
     for epoch in range(cfg.epochs):
-        order = seeded_rng(cfg.seed, _SHUFFLE_STREAM, epoch).permutation(len(train))
+        order = seeded_rng(cfg.seed, _SHUFFLE_STREAM, epoch).permutation(len(train)).tolist()
         for batch_index, start in enumerate(range(0, len(train), cfg.batch_size)):
-            chunk = order[start : start + cfg.batch_size]
-            items = tuple(train[i] for i in chunk)
-            yield Batch(items=items, adjusted=False, epoch=epoch, batch_index=batch_index)
+            rows = tuple(order[start : start + cfg.batch_size])
+            yield Batch(train, rows, adjusted=False, epoch=epoch, batch_index=batch_index)
+
+
+def _is_satd(c: Comment) -> bool:
+    return c.label is Label.SATD
 
 
 def rebalance_items(
-    items: tuple[Comment, ...],
-    satd_pool: list[Comment],
+    items: tuple[T, ...],
+    satd_pool: Sequence[T],
     target_ratio: float,
     rng: np.random.Generator,
-) -> tuple[Comment, ...]:
+    is_satd: Callable[[T], bool] = _is_satd,
+) -> tuple[T, ...]:
     """Replace majority items until count(non) <= target_ratio * count(satd).
 
     One replacement at a time: a uniformly chosen majority slot receives a
     uniform draw (with replacement) from the minority pool. Batch size is
-    preserved; an already balanced batch comes back unchanged.
+    preserved; an already balanced batch comes back unchanged. Items are
+    comments, or rows of a train list with ``is_satd`` reading their labels.
     """
     out = list(items)
-    non_positions = [i for i, c in enumerate(out) if c.label is not Label.SATD]
+    non_positions = [i for i, item in enumerate(out) if not is_satd(item)]
     n_satd = len(out) - len(non_positions)
     while len(non_positions) > target_ratio * n_satd:
         victim = int(rng.integers(len(non_positions)))
@@ -127,21 +141,24 @@ def fmr_batches(train: list[Comment], cfg: SamplerConfig) -> Iterator[Batch]:
     An independent seeded coin with probability ``trigger_prob`` decides
     whether a batch is adjusted; unadjusted batches pass through untouched
     and are identical to the plain stream under the same seed. Adjusted
-    batches draw from the SATD comments of ``train``, in train order; an
-    empty pool fails at the call, before any batch.
+    batches draw from the SATD rows of ``train``, in train order; an empty
+    pool fails at the call, before any batch.
     """
-    satd_pool = [c for c in train if c.label is Label.SATD]
+    is_satd = [c.label is Label.SATD for c in train]
+    satd_pool = [row for row, satd in enumerate(is_satd) if satd]
     if not satd_pool:
         raise DataError("empty SATD pool")
-    return _fmr_stream(train, satd_pool, cfg)
+    return _fmr_stream(train, is_satd, satd_pool, cfg)
 
 
-def _fmr_stream(train: list[Comment], pool: list[Comment], cfg: SamplerConfig) -> Iterator[Batch]:
+def _fmr_stream(
+    train: list[Comment], is_satd: list[bool], pool: list[int], cfg: SamplerConfig
+) -> Iterator[Batch]:
     for batch in plain_batches(train, cfg):
         rng = seeded_rng(cfg.seed, _BATCH_STREAM, batch.epoch, batch.batch_index)
         if rng.random() < cfg.trigger_prob:
-            items = rebalance_items(batch.items, pool, cfg.target_ratio, rng)
-            yield replace(batch, items=items, adjusted=True)
+            rows = rebalance_items(batch.rows, pool, cfg.target_ratio, rng, is_satd.__getitem__)
+            yield replace(batch, rows=rows, adjusted=True)
         else:
             yield batch
 
@@ -210,6 +227,31 @@ def batch_record(batch: Batch) -> dict:
     }
 
 
+def _item_json(c: Comment) -> str:
+    # json.dumps of the item's record in batch_record, without the encoder's
+    # per-call setup: the same key order, separators and ASCII escapes
+    text, project = encode_basestring_ascii(c.text), encode_basestring_ascii(c.project)
+    return f'{{"project": {project}, "id": {c.id}, "text": {text}, "label": {c.label.value}}}'
+
+
 def write_batches_jsonl(batches: Iterable[Batch], path: str | Path) -> int:
-    """Write one JSON line per batch; returns the number of lines written."""
-    return write_output(path, (json.dumps(batch_record(b)) + "\n" for b in batches))
+    """Write one JSON line per batch, ``json.dumps(batch_record(batch))``
+    byte for byte; returns the number of lines written.
+
+    Each row of a batch's train list is encoded once, when the first batch
+    over that list arrives, and a line joins the encoded rows of its batch.
+    """
+    return write_output(path, _batch_lines(batches))
+
+
+def _batch_lines(batches: Iterable[Batch]) -> Iterator[str]:
+    train: Sequence[Comment] | None = None
+    encoded: list[str] = []
+    for b in batches:
+        if b.train is not train:
+            train = b.train
+            encoded = [_item_json(c) for c in train]
+        adjusted = "true" if b.adjusted else "false"
+        items = ", ".join([encoded[row] for row in b.rows])
+        yield (f'{{"epoch": {b.epoch}, "batch": {b.batch_index}, '
+               f'"adjusted": {adjusted}, "items": [{items}]}}\n')

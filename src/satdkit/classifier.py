@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -139,21 +140,27 @@ def train_linear(
 
     The stream is read whole, then its batches train in stream order; weights
     start at zero, so training is fully deterministic for a fixed stream. An
-    empty stream returns the zero state. The distinct comment texts of the
-    stream are featurized together, from ``words``, into one ``PairwiseRows``
-    matrix. A batch's scores are then one row sum, bit for bit a per-row
-    ``np.add.reduce`` (which adds pairwise) because of that matrix's layout,
-    up to 127 features a row; a longer row, possible only at max_seq_len >
-    129, is reduced on its own. The gradient is one ``bincount`` over the
-    rows' ids.
+    empty stream returns the zero state. Every batch must index one train
+    list (as a sampler stream's batches do). Each train row's text and label
+    are read once, and the distinct texts are featurized together, from
+    ``words``, into one ``PairwiseRows`` matrix. A batch's scores are then
+    one row sum, bit for bit a per-row ``np.add.reduce`` (which adds
+    pairwise) because of that matrix's layout, up to 127 features a row; a
+    longer row, possible only at max_seq_len > 129, is reduced on its own.
+    The gradient is one ``bincount`` over the rows' ids.
     """
     batches = list(stream)
-    items = [c for batch in batches for c in batch.items]
-    # two comments may share a text and differ in label: rows by text, labels by item
-    texts = [c.text for c in items]
+    train = batches[0].train if batches else ()
+    if any(batch.train is not train for batch in batches):
+        raise ValueError("the batches of one stream must index one train list")
+    # two comments may share a text and differ in label: matrix rows by text,
+    # labels by train row
+    texts = [c.text for c in train]
     row_of = {text: row for row, text in enumerate(dict.fromkeys(texts))}
-    item_rows = np.fromiter(map(row_of.__getitem__, texts), np.intp, len(texts))
-    labels = np.array([c.label is Label.SATD for c in items], dtype=np.float64)
+    text_rows = np.fromiter(map(row_of.__getitem__, texts), np.intp, len(texts))
+    is_satd = np.array([c.label is Label.SATD for c in train], dtype=np.float64)
+    item_rows = np.fromiter(chain.from_iterable(b.rows for b in batches), np.intp)
+    matrix_rows, labels = text_rows[item_rows], is_satd[item_rows]
     matrix = presence_rows(vocab, words, list(row_of), max_seq_len)
     w = np.zeros(vocab.size, dtype=np.float64)
     b = 0.0
@@ -161,8 +168,8 @@ def train_linear(
     # overflow to inf is what the loss's finiteness check catches; one errstate per fit
     with np.errstate(over="ignore"):
         for batch in batches:
-            start, end = end, end + len(batch.items)
-            rows, y = item_rows[start:end], labels[start:end]
+            start, end = end, end + len(batch.rows)
+            rows, y = matrix_rows[start:end], labels[start:end]
             z = matrix.sums(w, rows) + b
             p = logistic(z)
             # stable BCE: log(1+e^z) - y*z, plus the quadratic penalty

@@ -565,7 +565,7 @@ def _assert_no_leakage(train: Iterable[Comment], test: Iterable[Comment]) -> Non
 
 def training_stream(run: Run, spec: UnitSpec) -> tuple[Iterator[Batch], list[Comment]]:
     """The unit's seeded training batches and its (augmented) train list,
-    checked for leakage into the unit's test set.
+    whose rows the batches hold, checked for leakage into the unit's test set.
 
     With dup_fmr the minority pool contains originals plus duplicates, so
     forced re-sampling draws from both.

@@ -117,23 +117,23 @@ def remove_triggers(lex: TriggerLexicon, text: str) -> str:
     spans = find_triggers(strict, text)
     if not spans:
         return text
-    sentinel = "\x00"
-    parts: list[str] = []
+    kept: list[str] = []
     pos = 0
     for start, end in spans:
         if end < len(text) and text[end] == ":":
             end += 1
-        parts.append(text[pos:start])
-        parts.append(sentinel)
+        kept.append(text[pos:start])
         pos = end
-    parts.append(text[pos:])
-    joined = "".join(parts)
-    collapsed = re.sub(
-        r" *\x00[ \x00]*",
-        lambda m: " " if " " in m.group(0) else "",
-        joined,
-    )
-    return collapsed.strip()
+    kept.append(text[pos:])
+    out = kept[0]
+    for piece in kept[1:]:
+        # a deletion lies between ``out`` and ``piece``: the spaces on both
+        # sides of it (and of any deletion run through all-space pieces)
+        # collapse to one
+        left, right = out.rstrip(" "), piece.lstrip(" ")
+        gap = " " if len(left) < len(out) or len(right) < len(piece) else ""
+        out = left + gap + right
+    return out.strip()
 
 
 def is_marker_only(text: str) -> bool:

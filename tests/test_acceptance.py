@@ -318,16 +318,16 @@ def test_criterion_09_gradient_check():
 
         rng = random.Random(90)
         for _ in range(10):
-            def rand_batch(index):
-                items = []
+            train = []
+            for index in range(2):
                 for i in range(6):
                     chosen = [t for t in feature_tokens if rng.random() < 0.5]
                     text = " ".join(chosen) or "unk"
                     label = rng.choice((Label.SATD, Label.NON_SATD))
-                    items.append(make_comment(index * 10 + i, text, label))
-                return Batch(items=tuple(items), adjusted=False, epoch=0, batch_index=index)
-
-            b1, b2 = rand_batch(0), rand_batch(1)
+                    train.append(make_comment(index * 10 + i, text, label))
+            # both batches index one train list, as a sampler stream's do
+            b1 = Batch(train, tuple(range(6)), adjusted=False, epoch=0, batch_index=0)
+            b2 = Batch(train, tuple(range(6, 12)), adjusted=False, epoch=0, batch_index=1)
             state1 = train_linear([b1], vocab, words, hyper)
             state2 = train_linear([b1, b2], vocab, words, hyper)
             h = 1e-6

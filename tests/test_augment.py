@@ -250,10 +250,11 @@ def test_dup_augment_matches_each_satd_comment_once(monkeypatch, scope):
 
 def test_batch_record_schema():
     batch = Batch(
-        items=(
+        train=(
             make_comment(3, "// TODO x", Label.SATD, project="A"),
             make_comment(4, "// fine", Label.NON_SATD, project="A"),
         ),
+        rows=(0, 1),
         adjusted=True,
         epoch=2,
         batch_index=7,
@@ -280,3 +281,28 @@ def test_write_batches_jsonl(tmp_path):
     first = json.loads(lines[0])
     assert set(first) == {"epoch", "batch", "adjusted", "items"}
     assert len(first["items"]) == 16
+
+
+def test_written_lines_are_json_dumps_of_batch_record(tmp_path):
+    odd = 'q"uote \\slash\ttab \u2028sep caf\u00e9 \U0001F600'
+    train_a = [
+        make_comment(i, f"// {'todo ' if i < 6 else ''}{odd} {i}",
+                     Label.SATD if i < 6 else Label.NON_SATD, project=f"P{odd}")
+        for i in range(40)
+    ]
+    train_b = _train(20, 2, project="Q")
+    cfg = SamplerConfig(seed=4, batch_size=8, trigger_prob=0.5, epochs=3)
+    # two train lists in one file: the writer encodes each list's rows anew
+    batches = list(fmr_batches(train_a, cfg)) + list(plain_batches(train_b, cfg))
+    assert {b.adjusted for b in batches} == {True, False}
+    path = tmp_path / "batches.jsonl"
+    assert write_batches_jsonl(batches, path) == len(batches)
+    expected = "".join(json.dumps(batch_record(b)) + "\n" for b in batches)
+    assert path.read_bytes() == expected.encode("ascii")
+
+
+def test_write_batches_jsonl_empty_stream(tmp_path):
+    path = tmp_path / "batches.jsonl"
+    stream = fmr_batches(_train(10, 2), SamplerConfig(seed=1, epochs=0))
+    assert write_batches_jsonl(stream, path) == 0
+    assert path.read_bytes() == b""

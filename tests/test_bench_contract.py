@@ -4,6 +4,7 @@ A renamed or removed patch target, or a changed call signature, would
 otherwise only show up as a crash of a traced benchmark run.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 
 from helpers import planted_rows, write_corpus
 from satdkit import augment, classifier, harness, lexicon, vocab
-from satdkit.harness import build_config, execute_run
+from satdkit.harness import build_config, execute_run, export_batches
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import tracer  # noqa: E402
@@ -53,4 +54,27 @@ def test_traced_run_reaches_every_layer(traced, tmp_path, monkeypatch):
                  "vocab.tokenize_calls", "lexicon.find_triggers_calls",
                  "augment.batches", "augment.duplicates", "classifier.fit_self_s",
                  "classifier.score_s", "classifier.features_per_item"):
+        assert metrics[name] > 0, name
+
+
+def test_traced_bridge_reaches_export_and_import(traced, tmp_path, monkeypatch):
+    t, _ = traced
+    monkeypatch.chdir(tmp_path)
+    write_corpus(tmp_path / "data", {"Alpha": planted_rows(1, 30, 4),
+                                     "Beta": planted_rows(2, 30, 4)})
+    config = build_config(overrides={
+        "manifest": "data/manifest.tsv", "outdir": "runs", "scenario": "cross",
+        "classifier": "external", "augmentation": "dup_fmr", "epochs": "1",
+        "export_path": "export", "predictions_path": "predictions.jsonl",
+    })
+    export_batches(config)
+    units = json.loads(Path("export/export.json").read_text(encoding="utf-8"))["units"]
+    Path("predictions.jsonl").write_text("".join(
+        json.dumps({"project": project, "id": cid, "score": 0.5}) + "\n"
+        for unit in units for project, cid in unit["test"]
+    ), encoding="utf-8")
+    execute_run(config)
+    metrics = tracer.layer_metrics(t, run_s=1.0, n_comments=60)
+    for name in ("augment.export_write_s", "augment.export_bytes", "augment.items",
+                 "harness.import_s"):
         assert metrics[name] > 0, name

@@ -39,8 +39,15 @@ VOCAB = Vocabulary.from_tokens(["[UNK]", "[PAD]", "[CLS]", "[SEP]"] + FEATURE_TO
 WORDS = WordCache()
 
 
-def _batch(items, epoch=0, batch_index=0):
-    return Batch(items=tuple(items), adjusted=False, epoch=epoch, batch_index=batch_index)
+def _batches(*item_lists):
+    """One batch per list of comments, numbered from 0 in epoch 0, all over
+    one train list: the lists back to back."""
+    train = [c for items in item_lists for c in items]
+    batches, start = [], 0
+    for index, items in enumerate(item_lists):
+        batches.append(Batch(train, tuple(range(start, start + len(items))), False, 0, index))
+        start += len(items)
+    return batches
 
 
 def _comment_with_features(i, feature_ids, label):
@@ -48,13 +55,16 @@ def _comment_with_features(i, feature_ids, label):
     return make_comment(i, text, label)
 
 
-def _random_batch(rng, size, batch_index=0):
-    items = []
-    for i in range(size):
-        feature_ids = [j for j in range(5) if rng.random() < 0.5]
-        label = rng.choice((Label.SATD, Label.NON_SATD))
-        items.append(_comment_with_features(100 * batch_index + i, feature_ids, label))
-    return _batch(items, batch_index=batch_index)
+def _random_batches(rng, n_batches, size):
+    item_lists = []
+    for batch_index in range(n_batches):
+        items = []
+        for i in range(size):
+            feature_ids = [j for j in range(5) if rng.random() < 0.5]
+            label = rng.choice((Label.SATD, Label.NON_SATD))
+            items.append(_comment_with_features(100 * batch_index + i, feature_ids, label))
+        item_lists.append(items)
+    return _batches(*item_lists)
 
 
 def _loss(w, b, batch, hyper, vocab=VOCAB):
@@ -70,8 +80,7 @@ def test_gradient_matches_central_differences():
     rng = random.Random(31)
     hyper = LinearHyper(learning_rate=0.25, l2=1e-3)
     for trial in range(5):
-        b1 = _random_batch(rng, 8, batch_index=0)
-        b2 = _random_batch(rng, 8, batch_index=1)
+        b1, b2 = _random_batches(rng, 2, 8)
         state1 = train_linear([b1], VOCAB, WORDS, hyper)
         state2 = train_linear([b1, b2], VOCAB, WORDS, hyper)
         h = 1e-6
@@ -146,7 +155,8 @@ def _oracle_streams(seed):
     cfg = SamplerConfig(seed=seed, batch_size=8, trigger_prob=0.5, epochs=3)
     augmented, n_dup = dup_augment(train, dup_lexicon())
     assert n_dup > 0
-    repeated = _batch([train[0]] * 5 + [train[1], train[0], train[-2]], batch_index=99)
+    # rows of ``augmented``, whose first rows are ``train``
+    repeated = Batch(augmented, (0,) * 5 + (1, 0, len(train) - 2), False, 0, 99)
     shared = [make_comment(600, train[3].text, Label.SATD),
               make_comment(601, train[3].text, Label.NON_SATD)]
     rng = random.Random(seed)
@@ -155,7 +165,7 @@ def _oracle_streams(seed):
         "plain": (list(plain_batches(train, cfg)), 128),
         "fmr": (list(fmr_batches(train, cfg)), 128),
         "dup_fmr": (list(fmr_batches(augmented, cfg)) + [repeated], 128),
-        "shared_text": ([_batch(shared + train[:6]), _batch(shared[::-1] + train[6:12])], 128),
+        "shared_text": (_batches(shared + train[:6], shared[::-1] + train[6:12]), 128),
         "long_rows": (list(plain_batches(train[:30] + train[-2:] + long, cfg)), 1024),
     }
 
@@ -235,11 +245,18 @@ def test_train_linear_empty_features_and_stream_match_oracle():
     unk = make_comment(0, "ÄÖÜ", Label.SATD)
     assert presence_features(ORACLE_VOCAB, WORDS[unk.text]) == ()
     other = make_comment(1, "w03 w06", Label.NON_SATD)
-    for stream in ([], [_batch([unk, unk])], [_batch([unk, other, unk]), _batch([other])]):
+    for stream in ([], _batches([unk, unk]), _batches([unk, other, unk], [other])):
         got = train_linear(stream, ORACLE_VOCAB, WORDS)
         want = _reference_train_linear(stream, ORACLE_VOCAB, WORDS)
         assert np.array_equal(got.weights, want.weights)
         assert got.bias == want.bias
+
+
+def test_train_linear_rejects_batches_over_two_train_lists():
+    rng = random.Random(3)
+    stream = _random_batches(rng, 1, 4) + _random_batches(rng, 1, 4)
+    with pytest.raises(ValueError, match="one train list"):
+        train_linear(stream, VOCAB, WORDS)
 
 
 def test_empty_stream_keeps_zero_state():
@@ -252,7 +269,7 @@ def test_empty_stream_keeps_zero_state():
 
 def test_zero_learning_rate_keeps_state():
     rng = random.Random(5)
-    batches = [_random_batch(rng, 6, i) for i in range(4)]
+    batches = _random_batches(rng, 4, 6)
     state = train_linear(batches, VOCAB, WORDS, LinearHyper(learning_rate=0.0))
     assert not state.weights.any()
     assert state.bias == 0.0
@@ -283,7 +300,7 @@ def test_separable_toy_set_reaches_full_accuracy():
 
 def test_training_is_deterministic():
     rng = random.Random(77)
-    batches = [_random_batch(rng, 8, i) for i in range(6)]
+    batches = _random_batches(rng, 6, 8)
     a = train_linear(batches, VOCAB, WORDS, LinearHyper())
     b = train_linear(batches, VOCAB, WORDS, LinearHyper())
     assert np.array_equal(a.weights, b.weights)
@@ -292,7 +309,7 @@ def test_training_is_deterministic():
 
 def test_non_finite_loss_reports_batch():
     rng = random.Random(2)
-    batches = [_random_batch(rng, 8, i) for i in range(3)]
+    batches = _random_batches(rng, 3, 8)
     with pytest.raises(RunError, match="batch 1"):
         train_linear(batches, VOCAB, WORDS, LinearHyper(learning_rate=1e200, l2=1e-4))
 

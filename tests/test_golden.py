@@ -1,4 +1,5 @@
-"""Golden fingerprints: SHA-256 of run and vocabulary outputs on fixed inputs.
+"""Golden fingerprints: SHA-256 of run, batch-export and vocabulary outputs
+on fixed inputs.
 
 Refactors must keep these bytes. A change that moves a hash on purpose
 updates it here and says which outputs moved and why.
@@ -14,7 +15,7 @@ import pytest
 from helpers import planted_rows, write_corpus
 from satdkit.cli import main
 from satdkit.corpus import Label
-from satdkit.harness import build_config, execute_run
+from satdkit.harness import build_config, execute_run, export_batches
 from satdkit.vocab import char_base_vocabulary
 
 # Decoys: fuzzy matching fires inside these words, strict matching does not.
@@ -100,6 +101,51 @@ GOLDEN_RUNS = {
     ),
 }
 
+# Every file export_batches writes, by its path under the export directory.
+GOLDEN_EXPORTS = {
+    "intra_dupfmr_input_files": (
+        {"scenario": "intra", "augmentation": "dup_fmr", "projects": "Alpha,Beta",
+         "seed": "11", **ALL_INPUT_FILES},
+        {
+            "batches/Alpha/fold0.jsonl":
+                "42ed5d4c200dc8581ebc1057d417ce4991a236f174e20c57ddcc27ecb72fa04a",
+            "batches/Alpha/fold1.jsonl":
+                "a2b078c23d9ac3a2c26f84248ea05156e3adc67240951bdd989aced788cd284a",
+            "batches/Alpha/fold2.jsonl":
+                "3fddad45fb54b8d97cdc596c7c21b3b97648b5188d3fcd844439a6580fcd025e",
+            "batches/Alpha/fold3.jsonl":
+                "6a02ba3c81589af92e5131f9a4a848c3bc2479bd4fd7dcc227a64c130f1735c9",
+            "batches/Beta/fold0.jsonl":
+                "dd14d45137f9cc41babfc1dc8e520b4fe97e473f9ee13bc9ac51a4125a0e45d3",
+            "batches/Beta/fold1.jsonl":
+                "af850696c8112a45c1ee7dd84f44e1c3ddde715100fba4b4833b910d53554677",
+            "batches/Beta/fold2.jsonl":
+                "36ba414a5e99372048062c7640ca84428f6561e70796d7b04d051fe0857fda03",
+            "batches/Beta/fold3.jsonl":
+                "89508a7fc6b0aa4cd159e76aeaa66a38f139d48108164ccaf11d122aa86d9951",
+            "export.json":
+                "9f335da67984e3ae6d0f816216bf4ed43d6fb7c6bad18f1c99c29bfc16085c62",
+            "folds.json":
+                "59ad53fea65b520fc40932642dc48b578263104ccfe41dd250d1b273021369ef",
+        },
+    ),
+    "cross_fmr": (
+        {"scenario": "cross", "augmentation": "fmr", "seed": "9"},
+        {
+            "batches/Alpha.jsonl":
+                "b09da72f2bff0cdb013f5729d5f1611766638e97c537481a641fe8eabee8f0df",
+            "batches/Beta.jsonl":
+                "eb386377e80efa07ba2565e2b804017f4cc7ad9ee3f561dcb621d0337fd887a0",
+            "batches/Gamma.jsonl":
+                "4012f2f13c8afbfffe3f599b2d7b73c5b5575885ac3a18d30bdd7699b4e741e2",
+            "export.json":
+                "0dadbb7926c9895116a0b8c514b08b2d22060a066a6a7fa6be102cbe75badfd8",
+            "folds.json":
+                "ed12773472595e4d134a71882b59e3cccde0ca092cc45d936519ee83bde3023f",
+        },
+    ),
+}
+
 GOLDEN_VOCAB = {
     "vocab.txt": "06c0f16ca88654d345b3a7772113e3b78e50a4f930c641765543dbd0560c70ed",
     "candidates.csv": "5398cb3d9ad6f55e0a84494981d51e56d98edbefe0474d469825d55e4361a076",
@@ -124,6 +170,16 @@ def test_golden_report_bytes(name, tmp_path, monkeypatch):
     run_dir = execute_run(build_config(overrides={**COMMON, **overrides}))
     assert _sha256(run_dir / "report.json") == report_sha
     assert _sha256(run_dir / "folds.json") == folds_sha
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EXPORTS))
+def test_golden_export_bytes(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_inputs(tmp_path)
+    overrides, shas = GOLDEN_EXPORTS[name]
+    out = export_batches(build_config(overrides={**COMMON, **overrides, "export_path": "export"}))
+    written = sorted(p for p in out.rglob("*") if p.is_file())
+    assert {p.relative_to(out).as_posix(): _sha256(p) for p in written} == shas
 
 
 def test_golden_vocab_build_bytes(tmp_path, monkeypatch, capsys):

@@ -730,16 +730,19 @@ def test_external_trainer_equivalence(tmp_path):
             ds = collection.get(unit["project"])
             train_comments = [c for c in ds.comments if (c.project, c.id) not in test_keys]
             vocab = build_vocabulary(run_in, words.project_words(train_comments))
-            batches = []
+            # every batch of the unit indexes one train list: the items back to back
+            train, batches = [], []
             for line in (export_dir / unit["batches"]).read_text(encoding="utf-8").splitlines():
                 record = json.loads(line)
-                items = tuple(
+                start = len(train)
+                train.extend(
                     make_comment(item["id"], item["text"], Label(item["label"]),
                                  project=item["project"])
                     for item in record["items"]
                 )
-                batches.append(Batch(items=items, adjusted=record["adjusted"],
-                                     epoch=record["epoch"], batch_index=record["batch"]))
+                batches.append(Batch(train, tuple(range(start, len(train))),
+                                     adjusted=record["adjusted"], epoch=record["epoch"],
+                                     batch_index=record["batch"]))
             state = train_linear(batches, vocab, words, hyper, max_seq_len=in_process.max_seq_len)
             for project, cid in test_pairs:
                 comment = next(c for c in ds.comments if c.id == cid)

@@ -89,6 +89,14 @@ def test_remove_triggers_edges():
     assert remove_triggers(DUP, "// TODO") == "//"
 
 
+def test_remove_triggers_keeps_nul_characters():
+    # a NUL in the comment is text, not a deletion mark: it stays, and the
+    # words on either side of it stay apart
+    assert remove_triggers(DUP, "a\x00b todo fix") == "a\x00b fix"
+    assert remove_triggers(DUP, "\x00 TODO \x00") == "\x00 \x00"
+    assert remove_triggers(DUP, "x\x00TODO\x00 y") == "x\x00\x00 y"
+
+
 def test_remove_uses_strict_spans_even_in_fuzzy_mode():
     fuzzy = TriggerLexicon(frozenset({"hack"}), FUZZY)
     assert remove_triggers(fuzzy, "the hackathon was fun") == "the hackathon was fun"
