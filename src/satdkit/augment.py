@@ -43,8 +43,18 @@ DUP_SCOPE_ALL = "all"
 
 
 def seeded_rng(seed: int, *key: int) -> np.random.Generator:
-    """Deterministic generator for a (seed, namespace, ...) key."""
-    return np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, *key])
+    """Deterministic generator for a (seed, namespace, ...) key: the one
+    ``np.random.default_rng([seed mod 2**64, *key])`` builds. Its entropy,
+    each integer's 32-bit words low word first (0 as one word), is handed
+    over as a uint32 array, which numpy takes without coercing a list."""
+    words = []
+    for n in (seed & 0xFFFFFFFFFFFFFFFF, *key):
+        if n < 0:
+            raise ValueError(f"expected non-negative integer, got {n}")
+        words.append(n & 0xFFFFFFFF)
+        while n := n >> 32:
+            words.append(n & 0xFFFFFFFF)
+    return np.random.default_rng(np.array(words, dtype=np.uint32))
 
 
 @dataclass(frozen=True)
@@ -168,6 +178,7 @@ def dup_augment(
     lex: TriggerLexicon,
     scope: str = DUP_SCOPE_TRIGGERED,
     reserved: Iterable[Comment] = (),
+    stripped: dict[str, str] | None = None,
 ) -> tuple[list[Comment], int]:
     """Append trigger-stripped duplicates of minority comments.
 
@@ -177,13 +188,17 @@ def dup_augment(
     to nothing or to bare comment markers are skipped. Duplicate ids are
     fresh and record the source comment id: in each project they start after
     the largest id in ``train`` and ``reserved``, so passing the held-out
-    comments keeps duplicates from colliding with them.
+    comments keeps duplicates from colliding with them. ``stripped`` maps
+    an SATD text to its stripped form for calls with one lexicon (a run
+    passes one per run); texts it lacks are stripped and added.
 
     Returns the augmented list (originals untouched, duplicates appended in
     scan order) and the duplicate count.
     """
     if scope not in (DUP_SCOPE_TRIGGERED, DUP_SCOPE_ALL):
         raise ValueError(f"unknown dup scope {scope!r}")
+    if stripped is None:
+        stripped = {}
     next_id: dict[str, int] = {}
     for c in chain(train, reserved):
         next_id[c.project] = max(next_id.get(c.project, -1), c.id)
@@ -192,15 +207,17 @@ def dup_augment(
         if c.label is not Label.SATD:
             continue
         # stripping changes the text exactly when it holds a strict trigger span
-        stripped = remove_triggers(lex, c.text)
-        if (scope == DUP_SCOPE_TRIGGERED and stripped == c.text) or is_marker_only(stripped):
+        text = stripped.get(c.text)
+        if text is None:
+            text = stripped[c.text] = remove_triggers(lex, c.text)
+        if (scope == DUP_SCOPE_TRIGGERED and text == c.text) or is_marker_only(text):
             continue
         next_id[c.project] += 1
         duplicates.append(
             Comment(
                 id=next_id[c.project],
                 project=c.project,
-                text=stripped,
+                text=text,
                 label=Label.SATD,
                 raw_label=c.raw_label,
                 origin_id=c.id,

@@ -147,7 +147,9 @@ def train_linear(
     one row sum, bit for bit a per-row ``np.add.reduce`` (which adds
     pairwise) because of that matrix's layout, up to 127 features a row; a
     longer row, possible only at max_seq_len > 129, is reduced on its own.
-    The gradient is one ``bincount`` over the rows' ids.
+    The gradient is one ``bincount`` over the rows' ids; with no such long
+    row, one gather of the batch's rows serves both. The weights update in
+    place.
     """
     batches = list(stream)
     train = batches[0].train if batches else ()
@@ -162,6 +164,10 @@ def train_linear(
     item_rows = np.fromiter(chain.from_iterable(b.rows for b in batches), np.intp)
     matrix_rows, labels = text_rows[item_rows], is_satd[item_rows]
     matrix = presence_rows(vocab, words, list(row_of), max_seq_len)
+    # with no row over 127 ids, the sums read ``ids`` whole, so a batch's one
+    # gather feeds both its row sums and its gradient
+    one_gather = matrix.short is matrix.ids
+    lr, decay = hyper.learning_rate, 1.0 - hyper.learning_rate * hyper.l2
     w = np.zeros(vocab.size, dtype=np.float64)
     b = 0.0
     end = 0
@@ -169,23 +175,28 @@ def train_linear(
     with np.errstate(over="ignore"):
         for batch in batches:
             start, end = end, end + len(batch.rows)
-            rows, y = matrix_rows[start:end], labels[start:end]
-            z = matrix.sums(w, rows) + b
+            rows, y, n = matrix_rows[start:end], labels[start:end], end - start
+            block = matrix.ids[rows]
+            z = (w[block].sum(axis=1) if one_gather else matrix.sums(w, rows)) + b
             p = logistic(z)
-            # stable BCE: log(1+e^z) - y*z, plus the quadratic penalty
-            loss = float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * hyper.l2 * float(w @ w))
-            if not np.isfinite(loss):
+            # stable BCE: log(1+e^z) - y*z, plus the quadratic penalty; a
+            # reduce over n is what np.mean computes
+            loss = float(np.add.reduce(np.logaddexp(0.0, z) - y * z) / n
+                         + 0.5 * hyper.l2 * float(w @ w))
+            if not math.isfinite(loss):
                 raise RunError(f"non-finite loss at epoch {batch.epoch} batch {batch.batch_index}")
             g = p - y
             # each feature sums its items' g from 0.0 in item order; the pad
             # bin collects the padding's terms and is dropped
-            block = matrix.ids[rows]
             weights = np.repeat(g, block.shape[1])
             grad = np.bincount(block.ravel(), weights=weights, minlength=vocab.size)
             grad[matrix.pad] = 0.0
-            grad /= len(y)
-            w = (1.0 - hyper.learning_rate * hyper.l2) * w - hyper.learning_rate * grad
-            b -= hyper.learning_rate * float(g.mean())
+            grad /= n
+            # w = decay * w - lr * grad, in place
+            w *= decay
+            grad *= lr
+            w -= grad
+            b -= lr * float(np.add.reduce(g) / n)
     return LinearModelState(weights=w, bias=b)
 
 

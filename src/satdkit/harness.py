@@ -32,7 +32,7 @@ import json
 import logging
 import math
 import reprlib
-from dataclasses import asdict, astuple, dataclass, fields, is_dataclass
+from dataclasses import asdict, astuple, dataclass, field, fields, is_dataclass
 from functools import cache
 from pathlib import Path
 from types import UnionType
@@ -510,6 +510,8 @@ class Run(RunInputs):
 
     specs: tuple[UnitSpec, ...]
     folds: dict  # the folds.json payload
+    # each SATD text's trigger-stripped form, filled by the units' dup_augment
+    stripped: dict[str, str] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def test_keys(self) -> list[tuple[str, int]]:
@@ -568,14 +570,17 @@ def training_stream(run: Run, spec: UnitSpec) -> tuple[Iterator[Batch], list[Com
     whose rows the batches hold, checked for leakage into the unit's test set.
 
     With dup_fmr the minority pool contains originals plus duplicates, so
-    forced re-sampling draws from both.
+    forced re-sampling draws from both; each SATD text is stripped once per
+    run (``Run.stripped``).
     """
     config = run.config
     sampler = _sampler_config(config, spec.sampler_seed)
     train = list(spec.train)
     if config.augmentation == "dup_fmr":
         # duplicate ids must clear the held-out comments' id space too
-        train, n_dup = dup_augment(train, run.dup_lexicon, config.dup_scope, reserved=spec.test)
+        train, n_dup = dup_augment(
+            train, run.dup_lexicon, config.dup_scope, reserved=spec.test, stripped=run.stripped
+        )
         log.debug("%s/%s: %d duplicates appended", spec.project, spec.unit, n_dup)
     _assert_no_leakage(train, spec.test)
     if config.augmentation == "none":

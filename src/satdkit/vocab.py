@@ -16,14 +16,16 @@ memoizes the pieces of every word it has tokenized. An augmented vocabulary
 also remembers its base: a word that is not a token itself and inside which
 no discovered token can match has the same pieces under both, so it is
 matched once in the base's memo and shared by every vocabulary built on that
-base (one run's units share one base, so the memo is run-wide).
+base (one run's units share one base, so the memo is run-wide). Growing a
+vocabulary checks only the appended tokens, and a word that is a token is
+looked up, never matched.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -67,15 +69,19 @@ class Vocabulary:
     def from_tokens(
         cls, tokens: list[str] | tuple[str, ...], base: "Vocabulary | None" = None
     ) -> "Vocabulary":
+        """The vocabulary of ``tokens``, each checked in id order. Given a
+        ``base`` whose tokens start ``tokens``, it copies the base's index
+        and checks only the tokens after them: the base was checked when it
+        was built."""
         tokens = tuple(tokens)
-        index: dict[str, int] = {}
-        for i, token in enumerate(tokens):
-            if token == "":
-                raise DataError(f"empty token at id {i}")
+        index = dict(base.index) if base else {}
+        for i in range(len(index), len(tokens)):
+            token = tokens[i]
             if token in index:
                 raise DataError(f"duplicate token {token!r} (ids {index[token]} and {i})")
-            if token not in SPECIALS and any(ch.isspace() for ch in token):
-                raise DataError(f"token {token!r} contains whitespace")
+            if token.split() != [token]:  # empty, or holds whitespace
+                raise DataError(f"token {token!r} contains whitespace" if token
+                                else f"empty token at id {i}")
             index[token] = i
         missing = [s for s in SPECIALS if s not in index]
         if missing:
@@ -124,6 +130,23 @@ class Vocabulary:
             bool(bodies.ordered)
             and any(bodies.has_prefix_of(word[i:]) for i in range(1, len(word)))
         )
+
+    def touched(self, words: Sequence[str]) -> set[str]:
+        """The ``words`` for which ``appended_can_match`` holds: those in an
+        appended token's prefix range of the sorted words (a token with a
+        shorter appended prefix adds none), and those that hold a ``##``
+        token's body after their first character."""
+        heads, bodies = self._appended
+        found = set()
+        ordered = sorted(words)
+        for root in dict.fromkeys(heads.roots):
+            i = bisect_left(ordered, root)
+            while i < len(ordered) and ordered[i].startswith(root):
+                found.add(ordered[i])
+                i += 1
+        if bodies.ordered:
+            found.update(w for w in words if any(b in w[1:] for b in bodies.ordered))
+        return found
 
 
 class _PrefixSet:
@@ -248,13 +271,10 @@ def discover_candidate_tokens(
         raise ValueError(f"threshold must be in [0, 1), got {threshold}")
     counts = Counter(chain.from_iterable(project_words))
     total = len(project_words)
-    candidates = [
-        CandidateToken(token=word, project_count=n, project_fraction=n / total)
-        for word, n in counts.items()
-        if n > threshold * total and word not in base.index
-    ]
-    candidates.sort(key=lambda c: (-c.project_count, c.token))
-    return candidates
+    # by word, then stably by descending count: the (-count, word) order
+    ranked = sorted(w for w, n in counts.items() if n > threshold * total and w not in base.index)
+    ranked.sort(key=counts.__getitem__, reverse=True)
+    return [CandidateToken(word, counts[word], counts[word] / total) for word in ranked]
 
 
 def load_denylist(path: str | Path) -> frozenset[str]:
@@ -267,7 +287,8 @@ def load_denylist(path: str | Path) -> frozenset[str]:
 
 
 def augment_vocabulary(base: Vocabulary, finals: list[CandidateToken]) -> Vocabulary:
-    """Append final candidate tokens after the base tokens; base ids unchanged."""
+    """Append final candidate tokens after the base tokens; base ids unchanged.
+    Only the appended tokens are checked (see ``Vocabulary.from_tokens``)."""
     for c in finals:
         if c.token in base.index:
             raise DataError(f"candidate token {c.token!r} collides with an existing token")
@@ -354,6 +375,28 @@ def tokenize(
     return TokenSequence(ids=ids, truncated=truncated)
 
 
+def _piece_table(vocab: Vocabulary, used: list[str]) -> list[tuple[int, ...]]:
+    """``_piece_ids`` of each of ``used`` (distinct words), memoized in
+    ``vocab.pieces``. A token of at most MAX_WORD_CHARS is its own piece;
+    of the other words, only those an appended token can touch (found
+    together, see ``Vocabulary.touched``) are matched under ``vocab``, and
+    the rest take the base's pieces (``vocab``'s own without a base)."""
+    memo = vocab.pieces
+    table = [(i,) if i is not None and len(w) <= MAX_WORD_CHARS else None
+             for w, i in zip(used, map(vocab.index.get, used))]
+    rest = [w for w, pieces in zip(used, table) if pieces is None]
+    if rest:
+        touched, base = vocab.touched(rest), vocab.base or vocab
+        table = [
+            pieces
+            or (memo.get(w) or _piece_ids(vocab, w) if w in touched
+                else base.pieces.get(w) or _piece_ids(base, w))
+            for w, pieces in zip(used, table)
+        ]
+    memo.update(zip(used, table))  # for ``tokenize`` of the unit's test comments
+    return table
+
+
 def tokenize_texts(
     vocab: Vocabulary, words: WordCache, texts: Sequence[str], max_seq_len: int = 128
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -361,8 +404,8 @@ def tokenize_texts(
     one numpy pass: every text's capped pieces in order, as one flat id
     array, and the index in ``texts`` of the text each piece belongs to.
 
-    The pieces come from a table over the texts' distinct words only, read
-    from the vocabulary's memo.
+    The pieces come from a table over the texts' distinct words only (see
+    ``_piece_table``).
     """
     if max_seq_len < 2:
         raise ValueError(f"max_seq_len must be >= 2, got {max_seq_len}")
@@ -370,9 +413,8 @@ def tokenize_texts(
     occurrences = np.concatenate([np.empty(0, np.intp), *text_words])
     present = np.zeros(len(words.word_list), dtype=bool)
     present[occurrences] = True
-    memo = vocab.pieces
     used = [words.word_list[i] for i in np.flatnonzero(present).tolist()]
-    table = [memo.get(w) or _piece_ids(vocab, w) for w in used]
+    table = _piece_table(vocab, used)
     table_lens = np.fromiter(map(len, table), np.intp, len(table))
     table_ids = np.fromiter(chain.from_iterable(table), np.intp, int(table_lens.sum()))
     # each word occurrence's table entry, piece count and text

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from helpers import make_comment
@@ -69,6 +70,26 @@ def test_plain_batches_single_item():
 def test_plain_batches_empty_train():
     with pytest.raises(DataError, match="empty training set"):
         list(plain_batches([], SamplerConfig(seed=1)))
+
+
+_RNG_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1, -1, 7 * 2**61 + 12345,
+              -(2**40) - 3, 987654321987654321]
+
+
+@pytest.mark.parametrize("seed", _RNG_SEEDS)
+@pytest.mark.parametrize("key", [(1, 0), (2, 0, 0), (2, 4, 2**32 - 1), (2, 4, 2**32), (3, 1)])
+def test_seeded_rng_is_default_rng_of_the_key(seed, key):
+    rng = seeded_rng(seed, *key)
+    reference = np.random.default_rng([seed & (2**64 - 1), *key])
+    assert rng.bit_generator.state == reference.bit_generator.state
+    assert rng.random(4).tolist() == reference.random(4).tolist()
+    assert rng.permutation(50).tolist() == reference.permutation(50).tolist()
+    assert rng.integers(2**40, size=5).tolist() == reference.integers(2**40, size=5).tolist()
+
+
+def test_seeded_rng_rejects_a_negative_key():
+    with pytest.raises(ValueError):
+        seeded_rng(1, 2, -1)
 
 
 def test_rebalance_all_majority_batch():

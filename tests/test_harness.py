@@ -13,7 +13,7 @@ from helpers import (
     write_corpus,
     write_planted_corpus,
 )
-from satdkit import harness, vocab
+from satdkit import augment, harness, vocab
 from satdkit.augment import Batch, dup_augment
 from satdkit.classifier import LinearHyper, predict_linear, train_linear
 from satdkit.corpus import Label
@@ -305,6 +305,29 @@ def test_each_comment_text_is_segmented_once_per_run(
     monkeypatch.setattr(vocab, "segment_words", lambda t: segmented.append(t) or original(t))
     execute_run(config)
     assert len(segmented) == len(texts)
+
+
+@pytest.mark.parametrize("scenario", ["cross", "intra"])
+def test_each_satd_text_is_stripped_once_per_run(tmp_path, monkeypatch, scenario):
+    # every SATD comment trains in several units (two of three projects or
+    # folds); its trigger-stripped text is computed in the first of them only
+    projects = {name: planted_rows(seed, 30, 5) for seed, name in enumerate(("A", "B", "C"))}
+    projects["A"] += projects["A"][:10]  # a repeated text is stripped once too
+    manifest = write_corpus(tmp_path / "data", projects)
+    config = build_config(overrides={
+        "manifest": str(manifest), "outdir": str(tmp_path / "runs"), "scenario": scenario,
+        "classifier": "linear", "augmentation": "dup_fmr", "k": "3", "epochs": "1",
+    })
+    stripped = Counter()
+    original = augment.remove_triggers
+    monkeypatch.setattr(
+        augment, "remove_triggers", lambda lex, text: stripped.update([text]) or original(lex, text)
+    )
+    execute_run(config)
+    collection = load_config_collection(config)
+    assert set(stripped) == {c.text for ds in collection for c in ds.comments
+                             if c.label is Label.SATD}
+    assert set(stripped.values()) == {1}
 
 
 def test_each_input_file_is_read_once_per_run(tmp_path, monkeypatch):

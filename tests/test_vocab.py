@@ -27,6 +27,7 @@ from satdkit.vocab import (
     load_denylist,
     save_vocabulary,
     tokenize,
+    tokenize_texts,
     write_candidate_report,
 )
 
@@ -147,6 +148,19 @@ def test_discovery_sorting():
     assert [c.token for c in candidates] == ["zz", "aa", "bb"]
 
 
+def test_discovery_ranks_by_descending_count_then_word():
+    rng = random.Random(3)
+    pool = ["".join(rng.choice("abcd") for _ in range(rng.randint(1, 4))) for _ in range(80)]
+    project_words = [set(rng.sample(pool, 25)) for _ in range(12)]
+    candidates = discover_candidate_tokens(project_words, toy_vocab(), threshold=0.0)
+    counts = {w: sum(w in words for words in project_words) for w in set().union(*project_words)}
+    assert len(set(counts.values())) > 1 and len(counts) > len(set(counts.values()))  # ties
+    assert [(c.token, c.project_count) for c in candidates] == sorted(
+        counts.items(), key=lambda item: (-item[1], item[0])
+    )
+    assert [c.project_fraction for c in candidates] == [c.project_count / 12 for c in candidates]
+
+
 def test_discovery_order_independent():
     base = coverage_base_vocab()
     collection = coverage_collection(seed=5)
@@ -187,6 +201,42 @@ def test_augment_vocabulary():
     assert augment_vocabulary(base, []).tokens == base.tokens
     with pytest.raises(DataError, match="collides"):
         augment_vocabulary(base, [CandidateToken("fix", 1, 0.9)])
+
+
+# Appended tokens and the message for the first bad one by id; base ids 0-6.
+_BAD_APPENDED = [
+    (["todo", ""], "empty token at id 8"),
+    (["todo", "todo"], "duplicate token 'todo' (ids 7 and 8)"),
+    (["x\x0cy"], "token 'x\\x0cy' contains whitespace"),
+    (["ok", "x\x85"], "token 'x\\x85' contains whitespace"),
+    (["\u2028y"], "token '\\u2028y' contains whitespace"),
+    (["fix it"], "token 'fix it' contains whitespace"),
+    (["ok", "a b", "", "ok"], "token 'a b' contains whitespace"),
+    (["ok", "ok", "a b"], "duplicate token 'ok' (ids 7 and 8)"),
+    (["", "a b"], "empty token at id 7"),
+    (["ok", "a b", "fix"], "candidate token 'fix' collides with an existing token"),
+]
+
+
+@pytest.mark.parametrize("appended,message", _BAD_APPENDED)
+def test_augment_vocabulary_checks_appended_tokens(appended, message):
+    # growth checks only the appended tokens, with the messages a check of
+    # the whole token list gives; a collision with a base token is found first
+    base = toy_vocab("fix", "a", "##a")
+    with pytest.raises(DataError) as grown:
+        augment_vocabulary(base, [CandidateToken(t, 1, 0.5) for t in appended])
+    assert str(grown.value) == message
+    if "collides" not in message:
+        with pytest.raises(DataError) as whole:
+            Vocabulary.from_tokens(base.tokens + tuple(appended))
+        assert str(whole.value) == message
+
+
+def test_augment_vocabulary_copies_the_base_index():
+    base = toy_vocab("fix")
+    grown = augment_vocabulary(base, [CandidateToken("todo", 1, 0.5)])
+    assert grown.index == {**base.index, "todo": base.size}
+    assert grown.index is not base.index and "todo" not in base.index
 
 
 def test_tokenize_greedy_longest_match():
@@ -290,23 +340,58 @@ def _fuzzed_words(seed, n):
     return words + ["x" * 105, "x" * 100, "hack" * 30, "hackathon" * 11, "hackathon" * 12]
 
 
+def _batch_pieces(vocab, texts):
+    # tokenize_texts' pieces per text, over a WordCache whose texts hold
+    # exactly the given words (unsegmented)
+    cache = WordCache()
+    for i, words in enumerate(texts):
+        cache[f"text{i}"] = tuple(words)
+    pieces, text_of = tokenize_texts(vocab, cache, list(cache), max_seq_len=4096)
+    got = [[] for _ in texts]
+    for piece, t in zip(pieces.tolist(), text_of.tolist()):
+        got[t].append(piece)
+    return got
+
+
+def _unit_vocabularies(make_base, warm_base, words):
+    # one base (its memo filled from ``words`` when warm), the unit
+    # vocabularies over it, and an unshared copy of each as the oracle
+    base = make_base()
+    if warm_base:
+        for word in words:
+            tokenize(base, [word])
+        assert len(base.pieces) == len(set(words))
+    units = [
+        augment_vocabulary(base, [CandidateToken(t, 2, 0.5) for t in tokens])
+        for tokens in _UNIT_TOKENS
+    ]
+    return base, units, [Vocabulary.from_tokens(v.tokens) for v in units]
+
+
 @pytest.mark.parametrize("make_base", [char_base_vocabulary, _custom_base])
 @pytest.mark.parametrize("warm_base", [True, False])
 def test_shared_memo_matches_fresh_word_pieces(make_base, warm_base):
     # every unit vocabulary reads the base's memo for the words its
     # discovered tokens cannot touch; the oracle is greedy matching on an
     # unshared copy of each vocabulary
-    base = make_base()
-    units = [
-        augment_vocabulary(base, [CandidateToken(t, 2, 0.5) for t in tokens])
-        for tokens in _UNIT_TOKENS
-    ]
-    unshared = [Vocabulary.from_tokens(v.tokens) for v in units]
-    words = _fuzzed_words(seed=len(base.tokens), n=4000)
-    if warm_base:
-        for word in words:
-            tokenize(base, [word])
-        assert len(base.pieces) == len(set(words))
+    words = _fuzzed_words(seed=len(make_base().tokens), n=4000)
+    words += [t for tokens in _UNIT_TOKENS for t in tokens]  # tokens as words
+    # the batch path (tokenize_texts) on fresh memos, one or several words
+    # per text: it finds the words each unit's tokens touch in one pass
+    for per_text in (1, 5):
+        _, units, unshared = _unit_vocabularies(make_base, warm_base, words)
+        shuffled = random.Random(per_text).sample(words, len(words))
+        texts = [shuffled[i:i + per_text] for i in range(0, len(words), per_text)]
+        for vocab, oracle, tokens in zip(units, unshared, _UNIT_TOKENS):
+            touched = vocab.touched(words)
+            assert touched == {w for w in words if _touches(w, tokens)}
+            # some words are touched only by a "##" token's body
+            assert any(not any(w.startswith(t) for t in tokens) for w in touched)
+            assert _batch_pieces(vocab, texts) == [
+                [p for w in text for p in (_word_piece_ids(oracle, w) or [vocab.unk_id])]
+                for text in texts
+            ]
+    base, units, unshared = _unit_vocabularies(make_base, warm_base, words)
     seen = set()
     for _ in range(2):  # the second pass reads every word from the memos
         for word in words:
