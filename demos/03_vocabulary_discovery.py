@@ -49,17 +49,18 @@ print(f"base vocabulary size: {base.size}")
 # each comment is split and segmented once; discovery counts per-project word sets
 words = WordCache()
 project_words = words.project_words(c for ds in collection for c in ds.comments)
+# discovery maps each candidate word to the number of projects containing it
 candidates = discover_candidate_tokens(project_words, base, threshold=0.25)
 print("\ndiscovered candidates (word, projects containing it, fraction):")
-for c in candidates:
-    print(f"  {c.token!r:16} {c.project_count}  {c.project_fraction:.3f}")
-assert all(c.token != "rarity" for c in candidates), "1 of 8 is under the bar"
+for token, count in candidates.items():
+    print(f"  {token!r:16} {count}  {count / len(project_words):.3f}")
+assert "rarity" not in candidates, "1 of 8 is under the bar"
 
 workdir = tempfile.TemporaryDirectory(prefix="satdkit-demo-")
 denylist = Path(workdir.name) / "denylist.txt"
 denylist.write_text("ns\n", encoding="utf-8")
 denied = load_denylist(denylist)  # read once, then a set lookup per candidate
-finals = [c for c in candidates if c.token not in denied]
+finals = [t for t in candidates if t not in denied]
 print(f"\nafter denylisting 'ns': {len(candidates)} -> {len(finals)} candidates")
 
 vocab = augment_vocabulary(base, finals)

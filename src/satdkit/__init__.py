@@ -69,7 +69,6 @@ from .lexicon import (
 )
 from .preprocess import segment_words, split_identifiers
 from .vocab import (
-    CandidateToken,
     TokenSequence,
     Vocabulary,
     WordCache,
@@ -99,7 +98,7 @@ __all__ = [
     "TriggerLexicon", "dup_lexicon", "find_triggers", "load_lexicon",
     "mat_lexicon", "remove_triggers",
     "segment_words", "split_identifiers",
-    "CandidateToken", "TokenSequence", "Vocabulary", "WordCache", "augment_vocabulary",
-    "char_base_vocabulary", "discover_candidate_tokens", "load_base_vocabulary",
-    "load_denylist", "save_vocabulary", "tokenize",
+    "TokenSequence", "Vocabulary", "WordCache", "augment_vocabulary", "char_base_vocabulary",
+    "discover_candidate_tokens", "load_base_vocabulary", "load_denylist", "save_vocabulary",
+    "tokenize",
 ]

@@ -134,7 +134,7 @@ def cmd_vocab_build(args: argparse.Namespace) -> int:
     vocab = augment_vocabulary(inputs.base, candidates)
     save_vocabulary(vocab, args.out)
     if args.candidates_csv:
-        write_candidate_report(candidates, args.candidates_csv)
+        write_candidate_report(candidates, len(project_words), args.candidates_csv)
     print(
         f"base {inputs.base.size} tokens + {len(candidates)} discovered "
         f"({n_denied} denylisted) -> {vocab.size} tokens at {args.out}"

@@ -87,14 +87,14 @@ class LabelMapping:
 
 
 def load_label_mapping(path: str | Path) -> LabelMapping:
-    """Parse a mapping file of ordered ``pattern -> SATD|NON_SATD`` lines.
+    """Parse a mapping file of ordered ``pattern -> SATD|NON_SATD`` lines,
+    each pattern at most once.
 
     Comments follow :func:`strip_comment`; the pattern ``*`` sets the default
     for unmatched non-empty labels.
     """
     lines = read_lines(path, "label mapping")
-    rules: list[tuple[str, Label]] = []
-    default: Label | None = None
+    targets: dict[str, Label] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = strip_comment(raw)
         if not line:
@@ -106,14 +106,13 @@ def load_label_mapping(path: str | Path) -> LabelMapping:
         target = target.strip()
         if target not in ("SATD", "NON_SATD"):
             raise DataError(f"{path}:{lineno}: unknown target label {target!r}")
-        label = Label.SATD if target == "SATD" else Label.NON_SATD
-        if pattern == "*":
-            default = label
-        else:
-            rules.append((pattern, label))
-    if not rules and default is None:
+        if pattern in targets:
+            raise DataError(f"{path}:{lineno}: pattern {pattern!r} is repeated")
+        targets[pattern] = Label.SATD if target == "SATD" else Label.NON_SATD
+    if not targets:
         raise DataError(f"{path}: mapping file defines no rules")
-    return LabelMapping(rules=tuple(rules), default=default)
+    default = targets.pop("*", None)
+    return LabelMapping(rules=tuple(targets.items()), default=default)
 
 
 @dataclass(frozen=True)

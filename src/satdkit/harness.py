@@ -68,7 +68,6 @@ from .evalkit import (
 from .lexicon import FUZZY, STRICT, TriggerLexicon, dup_lexicon, load_lexicon, mat_lexicon
 from .preprocess import split_identifiers  # noqa: F401  (bench/tracer.py patches this name)
 from .vocab import (
-    CandidateToken,
     Vocabulary,
     WordCache,
     augment_vocabulary,
@@ -198,7 +197,8 @@ CONFIG_KEYS = tuple(_FIELD_PARSERS)
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Read a flat ``key = value`` config file; ``#`` comments as in ``strip_comment``."""
+    """Read a flat ``key = value`` config file, each key at most once; ``#``
+    comments as in ``strip_comment``."""
     try:
         lines = read_lines(path, "config file")
     except DataError as exc:
@@ -214,6 +214,8 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         key = key.strip()
         if key not in _FIELD_PARSERS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in raw:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} is repeated")
         raw[key] = value.strip()
     return raw
 
@@ -590,12 +592,12 @@ def training_stream(run: Run, spec: UnitSpec) -> tuple[Iterator[Batch], list[Com
 
 def vocabulary_candidates(
     run: RunInputs, project_words: list[set[str]]
-) -> tuple[list[CandidateToken], int]:
+) -> tuple[dict[str, int], int]:
     """The tokens discovered in the per-project word sets that survive the
-    denylist, and how many it dropped."""
+    denylist, each with its project count, and how many it dropped."""
     threshold = run.config.vocab_threshold
     found = discover_candidate_tokens(project_words, run.base, threshold=threshold)
-    kept = [c for c in found if c.token not in run.denylist]
+    kept = {t: n for t, n in found.items() if t not in run.denylist}
     return kept, len(found) - len(kept)
 
 

@@ -1,10 +1,10 @@
 """Trigger-word lexicons: keyword matching, removal, and tag-based labeling.
 
-A small set of task-annotation keywords ("todo", "fixme", ...) separates the
-"easy" debt admissions from the hard ones. The lexicon powers three things:
-a training-free keyword classifier, the easy/hard corpus split, and trigger
-removal when duplicating minority comments for augmentation. Matching is
-one regex per lexicon: the alternation of its triggers, longest first.
+A small set of task-annotation keywords ("todo", "fixme", ...) marks the
+"easy" debt admissions. The lexicon powers two things: a training-free
+keyword classifier, and trigger removal when duplicating minority comments
+for augmentation. Matching is one regex per lexicon: the alternation of its
+triggers, longest first.
 """
 
 from __future__ import annotations

@@ -1,24 +1,25 @@
 """Subword vocabulary construction and greedy longest-match tokenization.
 
 The vocabulary starts from a base token file (one token per line, line
-number = id) and is augmented with domain words discovered in a corpus:
-a word qualifies as a candidate when it is not already a token of the
-base vocabulary (whole-word or ``##`` continuation piece) and appears in
-strictly more than a threshold fraction (default 25%) of the corpus
-projects. A hand-maintained denylist file removes flawed extractions before
-the survivors are appended to the base vocabulary.
+number = id) and grows by the domain words discovered in a corpus.
+Discovery maps each word that is not already a base token (whole word or
+``##`` continuation piece) and appears in strictly more than a threshold
+fraction (default 25%) of the corpus projects to its project count, most
+widespread first. A hand-maintained denylist file removes flawed
+extractions, and the surviving words are appended to the base tokens;
+growing checks only the appended tokens.
 
 Tokenization is the standard greedy longest-prefix scheme: non-initial
 pieces carry the ``##`` continuation marker, a word with no matching prefix
 (or longer than 100 characters) becomes a single UNK, and sequences are
 wrapped in CLS/SEP and truncated to a maximum length. Each vocabulary
-memoizes the pieces of every word it has tokenized. An augmented vocabulary
-also remembers its base: a word that is not a token itself and inside which
-no discovered token can match has the same pieces under both, so it is
-matched once in the base's memo and shared by every vocabulary built on that
-base (one run's units share one base, so the memo is run-wide). Growing a
-vocabulary checks only the appended tokens, and a word that is a token is
-looked up, never matched.
+memoizes the pieces of every word it has tokenized, and a word that is a
+token is looked up, never matched. A grown vocabulary also remembers its
+base: a word inside which no appended token can match has the same pieces
+under both, so it is matched once in the base's memo and shared by every
+vocabulary built on that base (one run's units share one base, so the memo
+is run-wide). An appended token matches inside a word as its prefix, or
+as a ``##`` token whose body occurs after the word's first character.
 """
 
 from __future__ import annotations
@@ -113,72 +114,44 @@ class Vocabulary:
         return frozenset(self.index[s] for s in SPECIALS)
 
     @cached_property
-    def _appended(self) -> tuple[_PrefixSet, _PrefixSet]:
-        # the tokens after the base, and the bodies of the ``##`` ones
-        tokens = self.tokens[self.base.size:] if self.base else ()
+    def _appended(self) -> tuple[list[str], list[str], list[str]]:
+        """The tokens appended after the base, sorted; each one's shortest
+        appended prefix; and the bodies of the ``##`` ones. In sorted order
+        the largest appended token <= a word starts with every appended
+        token that is a prefix of the word, so its shortest prefix decides."""
+        ordered = sorted(self.tokens[self.base.size:]) if self.base else []
+        roots: list[str] = []
+        for t in ordered:
+            roots.append(roots[-1] if roots and t.startswith(roots[-1]) else t)
         bodies = [
-            t[len(CONTINUATION_PREFIX):] for t in tokens
+            t[len(CONTINUATION_PREFIX):] for t in ordered
             if t.startswith(CONTINUATION_PREFIX) and len(t) > len(CONTINUATION_PREFIX)
         ]
-        return _PrefixSet(tokens), _PrefixSet(bodies)
+        return ordered, roots, bodies
 
     def appended_can_match(self, word: str) -> bool:
         """Whether a token appended after the base can match inside ``word``:
-        as its prefix, or (a ``##`` token) at any later position."""
-        heads, bodies = self._appended
-        return heads.has_prefix_of(word) or (
-            bool(bodies.ordered)
-            and any(bodies.has_prefix_of(word[i:]) for i in range(1, len(word)))
-        )
+        as its prefix, or (a ``##`` token's body) after its first character."""
+        ordered, roots, bodies = self._appended
+        i = bisect_right(ordered, word)
+        return (i > 0 and word.startswith(roots[i - 1])) or any(b in word[1:] for b in bodies)
 
     def touched(self, words: Sequence[str]) -> set[str]:
-        """The ``words`` for which ``appended_can_match`` holds: those in an
-        appended token's prefix range of the sorted words (a token with a
-        shorter appended prefix adds none), and those that hold a ``##``
-        token's body after their first character."""
-        heads, bodies = self._appended
+        """The ``words`` for which ``appended_can_match`` holds, found
+        together: those in an appended token's prefix range of the sorted
+        words (a token with a shorter appended prefix adds none), and those
+        that hold a ``##`` token's body after their first character."""
+        _, roots, bodies = self._appended
         found = set()
         ordered = sorted(words)
-        for root in dict.fromkeys(heads.roots):
+        for root in dict.fromkeys(roots):
             i = bisect_left(ordered, root)
             while i < len(ordered) and ordered[i].startswith(root):
                 found.add(ordered[i])
                 i += 1
-        if bodies.ordered:
-            found.update(w for w in words if any(b in w[1:] for b in bodies.ordered))
+        if bodies:
+            found.update(w for w in words if any(b in w[1:] for b in bodies))
         return found
-
-
-class _PrefixSet:
-    """Strings that answer whether one of them is a prefix of a text.
-
-    In sorted order a member's prefixes among the members come before it,
-    and every member between a prefix and its extension starts with that
-    prefix. So the largest member <= a text starts with every member that
-    is a prefix of the text, and its shortest member prefix decides.
-    """
-
-    def __init__(self, members: Iterable[str]) -> None:
-        self.ordered = sorted(members)
-        self.roots: list[str] = []  # each member's shortest member prefix
-        root = None
-        for s in self.ordered:
-            if root is None or not s.startswith(root):
-                root = s
-            self.roots.append(root)
-
-    def has_prefix_of(self, text: str) -> bool:
-        i = bisect_right(self.ordered, text)
-        return i > 0 and text.startswith(self.roots[i - 1])
-
-
-@dataclass(frozen=True)
-class CandidateToken:
-    """A word proposed for vocabulary augmentation and its project spread."""
-
-    token: str
-    project_count: int
-    project_fraction: float
 
 
 @dataclass(frozen=True)
@@ -256,14 +229,16 @@ class WordCache(dict[str, tuple[str, ...]]):
 
 def discover_candidate_tokens(
     project_words: list[set[str]], base: Vocabulary, threshold: float = 0.25
-) -> list[CandidateToken]:
-    """Find corpus words worth adding to the base vocabulary.
+) -> dict[str, int]:
+    """Find corpus words worth adding to the base vocabulary, each mapped to
+    the number of per-project word sets that hold it.
 
     A word is a candidate iff it is not already a base token (a word such as
     ``##1`` may equal a continuation piece) and occurs in strictly more than
     ``threshold`` of the per-project word sets.
-    Reserved symbol words like "//" participate like any other word. Output
-    is sorted by descending project count, ties broken lexicographically.
+    Reserved symbol words like "//" participate like any other word. The
+    words are in order of descending project count, ties broken
+    lexicographically.
     """
     if not project_words:
         raise DataError("empty collection")
@@ -274,7 +249,7 @@ def discover_candidate_tokens(
     # by word, then stably by descending count: the (-count, word) order
     ranked = sorted(w for w, n in counts.items() if n > threshold * total and w not in base.index)
     ranked.sort(key=counts.__getitem__, reverse=True)
-    return [CandidateToken(word, counts[word], counts[word] / total) for word in ranked]
+    return {w: counts[w] for w in ranked}
 
 
 def load_denylist(path: str | Path) -> frozenset[str]:
@@ -286,21 +261,23 @@ def load_denylist(path: str | Path) -> frozenset[str]:
     return frozenset(filter(None, entries))
 
 
-def augment_vocabulary(base: Vocabulary, finals: list[CandidateToken]) -> Vocabulary:
-    """Append final candidate tokens after the base tokens; base ids unchanged.
-    Only the appended tokens are checked (see ``Vocabulary.from_tokens``)."""
-    for c in finals:
-        if c.token in base.index:
-            raise DataError(f"candidate token {c.token!r} collides with an existing token")
-    return Vocabulary.from_tokens(base.tokens + tuple(c.token for c in finals), base=base)
+def augment_vocabulary(base: Vocabulary, tokens: Iterable[str]) -> Vocabulary:
+    """Append ``tokens`` after the base tokens; base ids unchanged. Only the
+    appended tokens are checked (see ``Vocabulary.from_tokens``)."""
+    tokens = tuple(tokens)
+    for token in tokens:
+        if token in base.index:
+            raise DataError(f"candidate token {token!r} collides with an existing token")
+    return Vocabulary.from_tokens(base.tokens + tokens, base=base)
 
 
-def write_candidate_report(candidates: list[CandidateToken], path: str | Path) -> None:
-    """CSV report of candidates: token, project_count, project_fraction."""
+def write_candidate_report(candidates: dict[str, int], n_projects: int, path: str | Path) -> None:
+    """CSV report of candidates (token -> project count) found over
+    ``n_projects`` word sets: token, project_count, project_fraction."""
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["token", "project_count", "project_fraction"])
-    writer.writerows([c.token, c.project_count, f"{c.project_fraction:.6f}"] for c in candidates)
+    writer.writerows([t, n, f"{n / n_projects:.6f}"] for t, n in candidates.items())
     write_output(path, [buffer.getvalue()])
 
 

@@ -289,10 +289,9 @@ def test_criterion_08_vocabulary_threshold():
             projects.append(ProjectDataset(f"p{i}", comments))
         collection = CorpusCollection("eight", tuple(projects))
         candidates = discover_candidate_tokens(collection_words(collection), base, 0.25)
-        tokens = {c.token: c for c in candidates}
-        assert "treble" in tokens
-        assert tokens["treble"].project_fraction == pytest.approx(0.375)
-        assert "borderline" not in tokens
+        assert "treble" in candidates
+        assert candidates["treble"] / len(projects) == pytest.approx(0.375)
+        assert "borderline" not in candidates
 
 
 def test_criterion_09_gradient_check():

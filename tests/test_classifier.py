@@ -27,7 +27,6 @@ from satdkit.lexicon import FUZZY, STRICT, TriggerLexicon, dup_lexicon, mat_lexi
 from satdkit.preprocess import split_identifiers
 from satdkit.vocab import (
     MAX_WORD_CHARS,
-    CandidateToken,
     Vocabulary,
     WordCache,
     augment_vocabulary,
@@ -170,9 +169,7 @@ def _oracle_streams(seed):
     }
 
 
-ORACLE_VOCAB = augment_vocabulary(
-    char_base_vocabulary(), [CandidateToken(w, 2, 0.5) for w in COMMON_WORDS[::3]]
-)
+ORACLE_VOCAB = augment_vocabulary(char_base_vocabulary(), COMMON_WORDS[::3])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

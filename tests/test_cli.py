@@ -78,6 +78,23 @@ def test_nonexistent_manifest_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_repeated_config_key_is_config_error(tmp_path, capsys):
+    manifest = write_planted_corpus(tmp_path / "data", n_total=40, n_satd=4, seed=4)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"manifest = {manifest}\nk = 3\nk = 4\n", encoding="utf-8")
+    assert main(["ingest", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"config error: {config}:3: config key 'k' is repeated\n"
+
+
+def test_repeated_label_mapping_pattern_is_data_error(tmp_path, capsys):
+    manifest = write_planted_corpus(tmp_path / "data", n_total=40, n_satd=4, seed=4)
+    mapping = tmp_path / "mapping.txt"
+    mapping.write_text("* -> SATD\n* -> NON_SATD\n", encoding="utf-8")
+    code = main(["ingest", "--manifest", str(manifest), "--label-mapping", str(mapping)])
+    assert code == 2
+    assert capsys.readouterr().err == f"data error: {mapping}:2: pattern '*' is repeated\n"
+
+
 def test_unknown_subcommand_is_config_error(capsys):
     assert main(["frobnicate"]) == 1
 

@@ -265,6 +265,19 @@ def test_load_label_mapping_hash_inside_pattern(tmp_path):
     )
 
 
+@pytest.mark.parametrize("text,lineno,pattern", [
+    ("DESIGN -> SATD\nDESIGN -> NON_SATD\n", 2, "DESIGN"),
+    ("DESIGN -> SATD\n# note\nDESIGN -> SATD\n", 3, "DESIGN"),
+    ("* -> SATD\nWITHOUT_CLASSIFICATION -> NON_SATD\n* -> NON_SATD\n", 3, "*"),
+], ids=["conflicting_rule", "same_rule", "second_default"])
+def test_load_label_mapping_rejects_repeated_pattern(tmp_path, text, lineno, pattern):
+    path = tmp_path / "mapping.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError) as excinfo:
+        load_label_mapping(path)
+    assert str(excinfo.value) == f"{path}:{lineno}: pattern {pattern!r} is repeated"
+
+
 def test_load_label_mapping_bad_target(tmp_path):
     path = tmp_path / "mapping.txt"
     path.write_text("FOO -> MAYBE\n", encoding="utf-8")

@@ -1,4 +1,5 @@
-"""Smoke test: every demo script runs to completion against the package."""
+"""Smoke test: every demo script runs to completion against the package,
+in development mode with warnings as errors."""
 
 import os
 import subprocess
@@ -16,7 +17,7 @@ def test_demo_runs(demo, tmp_path):
     # demos write their corpora under the temp directory
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path)}
     result = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        [sys.executable, "-X", "dev", "-W", "error", str(demo)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr[-2000:]

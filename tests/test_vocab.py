@@ -17,7 +17,6 @@ from satdkit.corpus import CorpusCollection, Label, ProjectDataset
 from satdkit.errors import DataError
 from satdkit.vocab import (
     _word_piece_ids,
-    CandidateToken,
     Vocabulary,
     WordCache,
     augment_vocabulary,
@@ -104,13 +103,12 @@ def test_discovery_threshold_and_base_exclusion():
     )
     collection = CorpusCollection("eight", projects)
     candidates = discover_candidate_tokens(collection_words(collection), base, threshold=0.25)
-    by_token = {c.token: c for c in candidates}
-    assert "grak" in by_token
-    assert by_token["grak"].project_count == 3
-    assert by_token["grak"].project_fraction == pytest.approx(0.375)
-    assert "bler" not in by_token
-    assert "the" not in by_token
-    assert "mip" in by_token  # 5 of 8
+    assert "grak" in candidates
+    assert candidates["grak"] == 3
+    assert candidates["grak"] / len(projects) == pytest.approx(0.375)
+    assert "bler" not in candidates
+    assert "the" not in candidates
+    assert "mip" in candidates  # 5 of 8
 
 
 def test_discovery_counts_projects_not_occurrences():
@@ -119,10 +117,10 @@ def test_discovery_counts_projects_not_occurrences():
         _project("a", ["dup dup dup dup dup dup"]),
         _project("b", ["other words entirely"]),
     ))
-    candidates = discover_candidate_tokens(collection_words(collection), base, threshold=0.25)
-    dup = next(c for c in candidates if c.token == "dup")
-    assert dup.project_count == 1
-    assert dup.project_fraction == pytest.approx(0.5)
+    project_words = collection_words(collection)
+    candidates = discover_candidate_tokens(project_words, base, threshold=0.25)
+    assert candidates["dup"] == 1
+    assert candidates["dup"] / len(project_words) == pytest.approx(0.5)
 
 
 def test_discovery_sees_split_identifiers_and_symbols():
@@ -131,8 +129,7 @@ def test_discovery_sees_split_identifiers_and_symbols():
         _project("a", ["// getHTTPResponseCode()"]),
         _project("b", ["// Response()"]),
     ))
-    candidates = discover_candidate_tokens(collection_words(collection), base, threshold=0.25)
-    tokens = {c.token for c in candidates}
+    tokens = set(discover_candidate_tokens(collection_words(collection), base, threshold=0.25))
     assert {"//", "()", "Response"} <= tokens
     assert "getHTTPResponseCode" not in tokens  # split before counting
 
@@ -145,7 +142,7 @@ def test_discovery_sorting():
         _project("c", ["zz"]),
     ))
     candidates = discover_candidate_tokens(collection_words(collection), base, threshold=0.0)
-    assert [c.token for c in candidates] == ["zz", "aa", "bb"]
+    assert list(candidates) == ["zz", "aa", "bb"]
 
 
 def test_discovery_ranks_by_descending_count_then_word():
@@ -155,20 +152,17 @@ def test_discovery_ranks_by_descending_count_then_word():
     candidates = discover_candidate_tokens(project_words, toy_vocab(), threshold=0.0)
     counts = {w: sum(w in words for words in project_words) for w in set().union(*project_words)}
     assert len(set(counts.values())) > 1 and len(counts) > len(set(counts.values()))  # ties
-    assert [(c.token, c.project_count) for c in candidates] == sorted(
+    assert list(candidates.items()) == sorted(
         counts.items(), key=lambda item: (-item[1], item[0])
     )
-    assert [c.project_fraction for c in candidates] == [c.project_count / 12 for c in candidates]
 
 
 def test_discovery_order_independent():
     base = coverage_base_vocab()
     collection = coverage_collection(seed=5)
     reversed_projects = CorpusCollection("coverage-rev", tuple(reversed(collection.projects)))
-    forward = {c.token for c in discover_candidate_tokens(collection_words(collection), base)}
-    backward = {
-        c.token for c in discover_candidate_tokens(collection_words(reversed_projects), base)
-    }
+    forward = discover_candidate_tokens(collection_words(collection), base)
+    backward = discover_candidate_tokens(collection_words(reversed_projects), base)
     assert forward == backward
 
 
@@ -193,14 +187,13 @@ def test_denylist_token_with_whitespace_names_file_and_line(tmp_path):
 
 def test_augment_vocabulary():
     base = toy_vocab("fix")
-    finals = [CandidateToken("todo", 5, 0.5), CandidateToken("hack", 4, 0.4)]
-    grown = augment_vocabulary(base, finals)
+    grown = augment_vocabulary(base, ["todo", "hack"])
     assert grown.size == base.size + 2
     assert grown.tokens[: base.size] == base.tokens
     assert grown.index["todo"] == base.size
     assert augment_vocabulary(base, []).tokens == base.tokens
     with pytest.raises(DataError, match="collides"):
-        augment_vocabulary(base, [CandidateToken("fix", 1, 0.9)])
+        augment_vocabulary(base, ["fix"])
 
 
 # Appended tokens and the message for the first bad one by id; base ids 0-6.
@@ -224,7 +217,7 @@ def test_augment_vocabulary_checks_appended_tokens(appended, message):
     # the whole token list gives; a collision with a base token is found first
     base = toy_vocab("fix", "a", "##a")
     with pytest.raises(DataError) as grown:
-        augment_vocabulary(base, [CandidateToken(t, 1, 0.5) for t in appended])
+        augment_vocabulary(base, appended)
     assert str(grown.value) == message
     if "collides" not in message:
         with pytest.raises(DataError) as whole:
@@ -234,7 +227,7 @@ def test_augment_vocabulary_checks_appended_tokens(appended, message):
 
 def test_augment_vocabulary_copies_the_base_index():
     base = toy_vocab("fix")
-    grown = augment_vocabulary(base, [CandidateToken("todo", 1, 0.5)])
+    grown = augment_vocabulary(base, ["todo"])
     assert grown.index == {**base.index, "todo": base.size}
     assert grown.index is not base.index and "todo" not in base.index
 
@@ -270,7 +263,7 @@ def test_word_piece_memo_is_per_vocabulary():
     # the two vocabularies differ only by one appended candidate, so a memo
     # keyed on the word alone would hand one the other's pieces
     base = coverage_base_vocab()
-    grown = augment_vocabulary(base, [CandidateToken("bad", 3, 0.5)])
+    grown = augment_vocabulary(base, ["bad"])
     pieces = ["[CLS]", "b", "##a", "##d", "[SEP]"]
     for _ in range(2):
         assert [base.tokens[i] for i in tokenize(base, ["bad"]).ids] == pieces
@@ -292,9 +285,7 @@ def test_memoized_long_word_stays_one_unk():
 
 def test_memoized_tokenize_matches_fresh_word_pieces():
     base = coverage_base_vocab()
-    vocab = augment_vocabulary(
-        base, [CandidateToken(w, 3, 0.5) for w in ("ab", "xyz", "hex", "gag")]
-    )
+    vocab = augment_vocabulary(base, ("ab", "xyz", "hex", "gag"))
     rng = random.Random(1234)
     words = [coverage_word(rng, 1, 8) for _ in range(3000)]
     words += ["a" * 100, "a" * 101, "xyz" * 40]
@@ -361,10 +352,7 @@ def _unit_vocabularies(make_base, warm_base, words):
         for word in words:
             tokenize(base, [word])
         assert len(base.pieces) == len(set(words))
-    units = [
-        augment_vocabulary(base, [CandidateToken(t, 2, 0.5) for t in tokens])
-        for tokens in _UNIT_TOKENS
-    ]
+    units = [augment_vocabulary(base, tokens) for tokens in _UNIT_TOKENS]
     return base, units, [Vocabulary.from_tokens(v.tokens) for v in units]
 
 
@@ -529,10 +517,10 @@ def test_augmentation_monotonicity():
 
 def test_candidate_report(tmp_path):
     path = tmp_path / "report.csv"
-    write_candidate_report([CandidateToken("todo", 5, 0.25)], path)
+    write_candidate_report({"todo": 5}, 20, path)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "token,project_count,project_fraction"
-    assert lines[1].startswith("todo,5,0.25")
+    assert lines[1] == "todo,5,0.250000"  # 5 of 20 projects
 
 
 def test_vocabulary_validation():
@@ -550,9 +538,9 @@ def test_discovery_skips_words_equal_to_continuation_pieces():
     words = set(WORDS["// ### Section: ##1 grak"])
     assert {"###", "##1"} <= words
     candidates = discover_candidate_tokens([words, words], base, threshold=0.25)
-    assert [c.token for c in candidates] == ["//", "Section:", "grak"]
+    assert list(candidates) == ["//", "Section:", "grak"]
     grown = augment_vocabulary(base, candidates)
     assert grown.tokens[base.size:] == ("//", "Section:", "grak")
     bert_like = toy_vocab("fix", "##me")
     candidates = discover_candidate_tokens([{"##me", "me", "fix"}], bert_like, threshold=0.25)
-    assert [c.token for c in candidates] == ["me"]
+    assert list(candidates) == ["me"]
