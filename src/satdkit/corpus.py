@@ -222,7 +222,7 @@ def load_project(path: str | Path, mapping: LabelMapping, project_name: str) -> 
 
 
 def parse_manifest(path: str | Path) -> list[tuple[str, Path]]:
-    """Read a manifest of ``project_name<TAB>path`` lines (# comments allowed).
+    """Read a manifest of ``project_name<TAB>path`` lines (``strip_comment`` comments).
 
     Relative dataset paths are resolved against the manifest's directory.
     Exports name files after projects, so a name must not be ``.``, ``..``
@@ -231,8 +231,8 @@ def parse_manifest(path: str | Path) -> list[tuple[str, Path]]:
     path = Path(path)
     entries: list[tuple[str, Path]] = []
     for lineno, raw in enumerate(read_lines(path, "manifest"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = strip_comment(raw)
+        if not line:
             continue
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0] or not parts[1]:

@@ -30,8 +30,8 @@ import hashlib
 import io
 import json
 import logging
-import math
 import reprlib
+import sys
 from dataclasses import asdict, astuple, dataclass, field, fields, is_dataclass
 from functools import cache
 from pathlib import Path
@@ -318,8 +318,8 @@ def _from_json(hint, value, path: str):
     if is_list and isinstance(value, (list, tuple)):
         return tuple(_from_json(get_args(kind)[0], v, f"{path}[{i}]") for i, v in enumerate(value))
     if isinstance(value, _JSON_LEAVES.get(kind, ())) and not isinstance(value, bool):
-        if kind is float and not math.isfinite(value):
-            raise DataError(f"{path}: expected a finite number, got {value!r}")
+        if kind is float and not abs(value) <= sys.float_info.max:  # inf, nan, or too large
+            raise DataError(f"{path}: expected a finite number, got {reprlib.repr(value)}")
         return value
     name = "object" if is_dataclass(kind) or kind is dict else "list" if is_list else kind.__name__
     raise DataError(f"{path}: expected {name}{' or null' * optional}, got {reprlib.repr(value)}")
@@ -754,7 +754,7 @@ def import_predictions(
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
             raise DataError(f"{path}: line {lineno}: invalid JSON ({exc})") from None
         if not isinstance(record, dict) or not {"project", "id", "score"} <= record.keys():
             raise DataError(f"{path}: line {lineno}: expected keys project, id, score")
@@ -767,9 +767,9 @@ def import_predictions(
         if isinstance(score, bool) or not isinstance(score, (int, float)):
             raise DataError(f"{path}: line {lineno}: score must be a number, got {score!r}")
         key = (project, comment_id)
+        if not 0.0 <= score <= 1.0:  # before float(), which overflows on a huge integer
+            raise DataError(f"{path}: line {lineno}: score {reprlib.repr(score)} outside [0, 1]")
         score = float(score)
-        if not 0.0 <= score <= 1.0:
-            raise DataError(f"{path}: line {lineno}: score {score} outside [0, 1]")
         if key in predictions:
             raise DataError(f"{path}: line {lineno}: duplicate prediction for {key}")
         predictions[key] = score

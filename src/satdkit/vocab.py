@@ -12,21 +12,23 @@ growing checks only the appended tokens.
 Tokenization is the standard greedy longest-prefix scheme: non-initial
 pieces carry the ``##`` continuation marker, a word with no matching prefix
 (or longer than 100 characters) becomes a single UNK, and sequences are
-wrapped in CLS/SEP and truncated to a maximum length. Each vocabulary
-memoizes the pieces of every word it has tokenized, and a word that is a
-token is looked up, never matched. A grown vocabulary also remembers its
-base: a word inside which no appended token can match has the same pieces
-under both, so it is matched once in the base's memo and shared by every
-vocabulary built on that base (one run's units share one base, so the memo
-is run-wide). An appended token matches inside a word as its prefix, or
-as a ``##`` token whose body occurs after the word's first character.
+wrapped in CLS/SEP and truncated to a maximum length. Both tokenizers
+read a word's pieces from the vocabulary's memo, which one function fills
+for the words it lacks; a word that is a token is looked up, never matched.
+A grown vocabulary also remembers its base, and one test finds the words
+inside which an appended token can match: as the word's prefix, or as a
+``##`` token whose body occurs after the word's first character. Only those
+words are matched under the grown vocabulary. Every other word has the same
+pieces under both, so it is matched once in the base's memo and shared by
+every vocabulary built on that base (one run's units share one base, so the
+memo is run-wide).
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -53,8 +55,8 @@ class Vocabulary:
 
     ``pieces`` memoizes each tokenized word's piece ids (``(unk_id,)`` for an
     UNK word). ``base`` is the vocabulary this one extends (its tokens are
-    this one's first ids); ``tokenize`` reads a word's pieces from the base's
-    memo when no token appended after the base can match inside the word.
+    this one's first ids); a word that ``touched`` does not report takes its
+    pieces from the base's memo.
     Neither takes part in equality: the memo is derived from the tokens, and
     the base only spares repeated matching.
     """
@@ -129,29 +131,14 @@ class Vocabulary:
         ]
         return ordered, roots, bodies
 
-    def appended_can_match(self, word: str) -> bool:
-        """Whether a token appended after the base can match inside ``word``:
-        as its prefix, or (a ``##`` token's body) after its first character."""
+    def touched(self, words: Iterable[str]) -> set[str]:
+        """The ``words`` inside which a token appended after the base can
+        match: as the word's prefix, or (a ``##`` token's body) after its
+        first character."""
         ordered, roots, bodies = self._appended
-        i = bisect_right(ordered, word)
-        return (i > 0 and word.startswith(roots[i - 1])) or any(b in word[1:] for b in bodies)
-
-    def touched(self, words: Sequence[str]) -> set[str]:
-        """The ``words`` for which ``appended_can_match`` holds, found
-        together: those in an appended token's prefix range of the sorted
-        words (a token with a shorter appended prefix adds none), and those
-        that hold a ``##`` token's body after their first character."""
-        _, roots, bodies = self._appended
-        found = set()
-        ordered = sorted(words)
-        for root in dict.fromkeys(roots):
-            i = bisect_left(ordered, root)
-            while i < len(ordered) and ordered[i].startswith(root):
-                found.add(ordered[i])
-                i += 1
-        if bodies:
-            found.update(w for w in words if any(b in w[1:] for b in bodies))
-        return found
+        return {w for w in words
+                if (i := bisect_right(ordered, w)) and w.startswith(roots[i - 1])
+                or bodies and any(b in w[1:] for b in bodies)}
 
 
 @dataclass(frozen=True)
@@ -307,26 +294,32 @@ def _word_piece_ids(vocab: Vocabulary, word: str) -> list[int] | None:
     return pieces
 
 
-def _piece_ids(vocab: Vocabulary, word: str) -> tuple[int, ...]:
-    """``word``'s piece ids under ``vocab`` on a miss in ``vocab.pieces``,
-    which then memoizes them.
+def _memoize(vocab: Vocabulary, words: Iterable[str]) -> dict[str, tuple[int, ...]]:
+    """``vocab.pieces``, filled for those of ``words`` it lacks.
 
-    A word over the length cap is UNK and a token is its own piece; a word
-    that no appended token can touch takes the base's pieces (base ids are
-    unchanged), and only the rest run greedy matching.
+    A token of at most MAX_WORD_CHARS is its own piece; a word that a token
+    appended after the base can touch (``Vocabulary.touched``) is matched
+    under ``vocab``; every other word takes the base's pieces (base ids are
+    unchanged), memoized in the base (in ``vocab`` when it has no base).
     """
-    base = vocab.base
-    if len(word) > MAX_WORD_CHARS:
-        pieces: tuple[int, ...] = (vocab.unk_id,)
-    elif word in vocab.index:
-        pieces = (vocab.index[word],)
-    elif base is not None and not vocab.appended_can_match(word):
-        pieces = base.pieces.get(word) or _piece_ids(base, word)
-    else:
-        found = _word_piece_ids(vocab, word)
-        pieces = (vocab.unk_id,) if found is None else tuple(found)
-    vocab.pieces[word] = pieces
-    return pieces
+    memo, index, base = vocab.pieces, vocab.index, vocab.base
+    rest = []
+    for w in {word: None for word in words if word not in memo}:
+        if w in index and len(w) <= MAX_WORD_CHARS:
+            memo[w] = (index[w],)
+        else:
+            rest.append(w)
+    if not rest:
+        return memo
+    touched = vocab.touched(rest) if base else set(rest)
+    shared = _memoize(base, [w for w in rest if w not in touched]) if base else memo
+    for w in rest:
+        if w in touched:
+            found = _word_piece_ids(vocab, w)
+            memo[w] = (vocab.unk_id,) if found is None else tuple(found)
+        else:
+            memo[w] = shared[w]
+    return memo
 
 
 def tokenize(
@@ -341,37 +334,16 @@ def tokenize(
     """
     if max_seq_len < 2:
         raise ValueError(f"max_seq_len must be >= 2, got {max_seq_len}")
-    memo = vocab.pieces
+    words = tuple(words)
+    memo = _memoize(vocab, words)
     piece_ids: list[int] = []
     for word in words:
-        piece_ids.extend(memo.get(word) or _piece_ids(vocab, word))
+        piece_ids.extend(memo[word])
     truncated = len(piece_ids) + 2 > max_seq_len
     if truncated:
         piece_ids = piece_ids[: max_seq_len - 2]
     ids = (vocab.cls_id, *piece_ids, vocab.sep_id)
     return TokenSequence(ids=ids, truncated=truncated)
-
-
-def _piece_table(vocab: Vocabulary, used: list[str]) -> list[tuple[int, ...]]:
-    """``_piece_ids`` of each of ``used`` (distinct words), memoized in
-    ``vocab.pieces``. A token of at most MAX_WORD_CHARS is its own piece;
-    of the other words, only those an appended token can touch (found
-    together, see ``Vocabulary.touched``) are matched under ``vocab``, and
-    the rest take the base's pieces (``vocab``'s own without a base)."""
-    memo = vocab.pieces
-    table = [(i,) if i is not None and len(w) <= MAX_WORD_CHARS else None
-             for w, i in zip(used, map(vocab.index.get, used))]
-    rest = [w for w, pieces in zip(used, table) if pieces is None]
-    if rest:
-        touched, base = vocab.touched(rest), vocab.base or vocab
-        table = [
-            pieces
-            or (memo.get(w) or _piece_ids(vocab, w) if w in touched
-                else base.pieces.get(w) or _piece_ids(base, w))
-            for w, pieces in zip(used, table)
-        ]
-    memo.update(zip(used, table))  # for ``tokenize`` of the unit's test comments
-    return table
 
 
 def tokenize_texts(
@@ -381,8 +353,7 @@ def tokenize_texts(
     one numpy pass: every text's capped pieces in order, as one flat id
     array, and the index in ``texts`` of the text each piece belongs to.
 
-    The pieces come from a table over the texts' distinct words only (see
-    ``_piece_table``).
+    The pieces come from a table over the texts' distinct words only.
     """
     if max_seq_len < 2:
         raise ValueError(f"max_seq_len must be >= 2, got {max_seq_len}")
@@ -391,7 +362,8 @@ def tokenize_texts(
     present = np.zeros(len(words.word_list), dtype=bool)
     present[occurrences] = True
     used = [words.word_list[i] for i in np.flatnonzero(present).tolist()]
-    table = _piece_table(vocab, used)
+    memo = _memoize(vocab, used)
+    table = [memo[w] for w in used]
     table_lens = np.fromiter(map(len, table), np.intp, len(table))
     table_ids = np.fromiter(chain.from_iterable(table), np.intp, int(table_lens.sum()))
     # each word occurrence's table entry, piece count and text

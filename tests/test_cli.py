@@ -558,3 +558,21 @@ def test_report_rejects_malformed_report(tmp_path, capsys, content):
         assert err.startswith("data error: ")
         assert str(source) in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("path, value, where", [
+    (("average", "f1"), 10 ** 400, "average.f1"),
+    (("projects", 0, "units", 0, "metrics", "f1"), -(10 ** 400), "projects[0].units[0].metrics.f1"),
+], ids=["average_f1", "unit_f1_negative"])
+def test_report_with_a_number_too_large_for_a_float_is_data_error(tmp_path, capsys, path, value,
+                                                                   where):
+    # float() of a 401-digit integer overflows; the error names its JSON path
+    source = tmp_path / "report.json"
+    source.write_text(_mistyped(*path, value), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    code = main(["report", "--report", str(source), "--format", "csv", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"data error: {source}: not a readable report ({where}: "
+                          f"expected a finite number, got {'-' * (value < 0)}1000")
+    assert not out.exists()

@@ -13,6 +13,7 @@ from satdkit.corpus import (
     load_collection,
     load_label_mapping,
     load_project,
+    parse_manifest,
 )
 from satdkit.errors import DataError
 
@@ -205,6 +206,20 @@ def test_manifest_comments_and_relative_paths(tmp_path):
     manifest.write_text("# corpus\nA\tdata/a.csv\n", encoding="utf-8")
     collection = load_collection(manifest, MAPPING)
     assert collection.get("A").n_total == 1
+
+
+def test_manifest_comments_follow_the_config_file_rule(tmp_path):
+    # "#" after whitespace starts a comment, as in a config file; any other
+    # "#" is part of the name or path
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("A\ta.csv   # first project\nB\tb.csv\t# tab first\n"
+                        "C#2\tc#2.csv\n  # indented\n", encoding="utf-8")
+    assert parse_manifest(manifest) == [
+        ("A", tmp_path / "a.csv"), ("B", tmp_path / "b.csv"), ("C#2", tmp_path / "c#2.csv"),
+    ]
+    write_dataset_csv(tmp_path / "a.csv", [("A", "x", "DESIGN")])
+    manifest.write_text("A\ta.csv   # first project\n", encoding="utf-8")
+    assert load_collection(manifest, MAPPING).get("A").n_total == 1
 
 
 def test_corpus_stats_values():

@@ -724,6 +724,23 @@ def test_import_predictions_keeps_integer_scores_as_floats(tmp_path):
     assert score == 1.0 and type(score) is float
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("score", "1" + "0" * 400, r"line 2: score 1000.* outside \[0, 1\]"),
+    ("score", "-1" + "0" * 400, r"line 2: score -1000.* outside \[0, 1\]"),
+    ("id", "1" * 5001, r"line 2: invalid JSON \(.*digits"),
+], ids=["score_401_digits", "score_negative_401_digits", "id_5001_digits"])
+def test_import_predictions_rejects_numbers_too_large(tmp_path, field, value, message):
+    # json reads a huge integer, or refuses one over its digit limit with a
+    # ValueError that is not a JSONDecodeError; neither may escape as a crash
+    record = {"project": '"A"', "id": "1", "score": "0.75", field: value}
+    line = ", ".join(f'"{k}": {v}' for k, v in record.items())
+    path = tmp_path / "preds.jsonl"
+    path.write_text('{"project": "A", "id": 0, "score": 0.25}\n{' + line + "}\n",
+                    encoding="utf-8")
+    with pytest.raises(DataError, match=message):
+        import_predictions(path, expected=[("A", 0), ("A", 1)])
+
+
 def test_external_trainer_equivalence(tmp_path):
     """Training from the exported stream and importing the scores must give
     exactly the metrics of the in-process linear run."""

@@ -1,4 +1,7 @@
+import ast
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -358,10 +361,21 @@ def _unit_vocabularies(make_base, warm_base, words):
 
 @pytest.mark.parametrize("make_base", [char_base_vocabulary, _custom_base])
 @pytest.mark.parametrize("warm_base", [True, False])
-def test_shared_memo_matches_fresh_word_pieces(make_base, warm_base):
+def test_shared_memo_matches_fresh_word_pieces(make_base, warm_base, monkeypatch):
     # every unit vocabulary reads the base's memo for the words its
     # discovered tokens cannot touch; the oracle is greedy matching on an
     # unshared copy of each vocabulary
+
+    # each greedy match as (vocabulary, word); holding the vocabulary keeps
+    # its id from being reused
+    calls = []
+    word_piece_ids = satdkit.vocab._word_piece_ids
+
+    def counted_word_piece_ids(vocab, word):
+        calls.append((vocab, word))
+        return word_piece_ids(vocab, word)
+
+    monkeypatch.setattr(satdkit.vocab, "_word_piece_ids", counted_word_piece_ids)
     words = _fuzzed_words(seed=len(make_base().tokens), n=4000)
     words += [t for tokens in _UNIT_TOKENS for t in tokens]  # tokens as words
     # the batch path (tokenize_texts) on fresh memos, one or several words
@@ -384,7 +398,7 @@ def test_shared_memo_matches_fresh_word_pieces(make_base, warm_base):
     for _ in range(2):  # the second pass reads every word from the memos
         for word in words:
             for vocab, oracle, tokens in zip(units, unshared, _UNIT_TOKENS):
-                assert vocab.appended_can_match(word) == _touches(word, tokens), word
+                assert (word in vocab.touched([word])) == _touches(word, tokens), word
                 fresh = _word_piece_ids(oracle, word)
                 expected = (vocab.unk_id,) if fresh is None else tuple(fresh)
                 assert tokenize(vocab, [word], max_seq_len=256).ids[1:-1] == expected, word
@@ -392,6 +406,35 @@ def test_shared_memo_matches_fresh_word_pieces(make_base, warm_base):
     assert base.pieces
     assert {"hack", "hackathon", "hackath", "##ing", "##thon", "zz", "[UNK]"} <= seen
     assert "x" * 105 not in seen  # a token over the length cap is still UNK
+    # the mixed tokenize and tokenize_texts calls match a word at most once
+    # per vocabulary
+    assert calls
+    assert max(Counter((id(vocab), word) for vocab, word in calls).values()) == 1
+
+
+def test_only_memoize_matches_words():
+    # one memo fill: every tokenizer gets a word's pieces from ``_memoize``,
+    # the one place that runs greedy matching
+    src = Path(satdkit.vocab.__file__).parent
+    inside, outside = 0, []
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        memoize = {id(node) for f in ast.walk(tree)
+                   if isinstance(f, ast.FunctionDef) and f.name == "_memoize"
+                   for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name != "_word_piece_ids":
+                continue
+            if id(node) in memoize:
+                inside += 1
+            else:
+                outside.append(f"{path.relative_to(src)}:{node.lineno}")
+    assert inside == 1
+    assert outside == []
 
 
 def _touches(word, tokens):
