@@ -27,10 +27,6 @@ from .lexicon import TriggerLexicon, find_triggers
 from .preprocess import split_identifiers  # noqa: F401  (bench/tracer.py patches this name)
 from .vocab import Vocabulary, WordCache, tokenize, tokenize_texts
 
-# numpy sums a row of up to this many float64s as one pairwise block
-PAIRWISE_MAX = 127
-
-
 @dataclass(frozen=True)
 class LinearHyper:
     learning_rate: float = 0.1
@@ -65,67 +61,25 @@ def presence_features(
     return tuple(sorted(set(seq.ids) - vocab.special_ids))
 
 
-@dataclass(frozen=True)
-class PairwiseRows:
-    """Rows of feature ids laid out so that one ``sum(axis=1)`` adds each row
-    bit for bit as ``np.add.reduce`` adds that row alone.
-
-    numpy adds n <= 127 float64s in order from 0.0 when n < 8, and otherwise
-    in 8 lanes over the floor(n/8) full blocks of 8, combined by a fixed
-    tree, and then the rest in order. So a row of n ids holds its first
-    8*floor(n/8) ids, then ``pad`` (an id whose weight stays 0), then its
-    last n % 8 ids in the final columns, and the width is
-    8*max(1, floor(n_max/8)) + 7: extra blocks only add zeros to the lanes.
-    numpy splits a row wider than 127 in halves, so when one has more than
-    127 ids, the sum reads the first 120 and last 7 columns (which hold every
-    shorter row) and each longer row is reduced on its own.
-    """
-
-    ids: np.ndarray  # (rows, width)
-    pad: int
-    short: np.ndarray  # ``ids``, or its 127 columns that hold the shorter rows
-    long: dict[int, np.ndarray]  # the ids of each row over PAIRWISE_MAX, by row
-
-    @classmethod
-    def from_flat(cls, ids: np.ndarray, counts: np.ndarray, pad: int) -> "PairwiseRows":
-        """The layout of rows given as their ids back to back and each row's count."""
-        width = 8 * max(1, int(counts.max(initial=0)) // 8) + 7
-        starts = np.cumsum(counts) - counts
-        position = np.arange(len(ids)) - np.repeat(starts, counts)
-        tail = position >= np.repeat(counts - counts % 8, counts)
-        block = np.full((len(counts), width), pad, dtype=np.intp)
-        block[np.repeat(np.arange(len(counts)), counts),
-              np.where(tail, position + np.repeat(width - counts, counts), position)] = ids
-        long = {r: ids[starts[r]:starts[r] + counts[r]]
-                for r in np.flatnonzero(counts > PAIRWISE_MAX).tolist()}
-        short = block if width <= PAIRWISE_MAX else block[:, np.r_[:PAIRWISE_MAX - 7, -7:0]]
-        return cls(block, pad, short, long)
-
-    def sums(self, w: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Each listed row's sum of ``w`` over its ids."""
-        z = w[self.short[rows]].sum(axis=1)
-        if self.long:
-            for i, r in enumerate(rows.tolist()):
-                if r in self.long:
-                    z[i] = np.add.reduce(w[self.long[r]])
-        return z
-
-
 def presence_rows(
     vocab: Vocabulary, words: WordCache, texts: Sequence[str], max_seq_len: int = 128
-) -> PairwiseRows:
-    """``presence_features`` of every text, one row each, in one numpy pass."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """``presence_features`` of every text, in one numpy pass, as pad-led
+    runs: ``ids`` holds each text's features back to back, each run led by
+    ``vocab.pad_id``, and text i's run begins at ``starts[i]``."""
     pieces, key = tokenize_texts(vocab, words, texts, max_seq_len)
     special = np.zeros(vocab.size, dtype=bool)
     special[list(vocab.special_ids)] = True
     # turn each piece's text index into a (text, id) key in place, then
-    # dedupe each row by sorting the keys and dropping repeats (np.unique
+    # dedupe each run by sorting the keys and dropping repeats (np.unique
     # would take a slower hash path)
     key *= vocab.size
     key += pieces
     key = np.sort(key[~special[pieces]])
     rows, ids = np.divmod(key[np.diff(key, prepend=-1) != 0], vocab.size)
-    return PairwiseRows.from_flat(ids, np.bincount(rows, minlength=len(texts)), vocab.pad_id)
+    counts = np.bincount(rows, minlength=len(texts))
+    first = np.cumsum(counts) - counts
+    return np.insert(ids, first, vocab.pad_id), first + np.arange(len(texts))
 
 
 def train_linear(
@@ -142,31 +96,37 @@ def train_linear(
     start at zero, so training is fully deterministic for a fixed stream. An
     empty stream returns the zero state. Every batch must index one train
     list (as a sampler stream's batches do). Each train row's text and label
-    are read once, and the distinct texts are featurized together, from
-    ``words``, into one ``PairwiseRows`` matrix. A batch's scores are then
-    one row sum, bit for bit a per-row ``np.add.reduce`` (which adds
-    pairwise) because of that matrix's layout, up to 127 features a row; a
-    longer row, possible only at max_seq_len > 129, is reduced on its own.
-    The gradient is one ``bincount`` over the rows' ids; with no such long
-    row, one gather of the batch's rows serves both. The weights update in
-    place.
+    are read once, the distinct texts are featurized together, from
+    ``words``, into ``presence_rows``' pad-led runs, and every stream item's
+    run is laid out once in stream order, so a batch is one slice. Its
+    scores are one ``np.add.reduceat`` over the slice: a run's leading
+    ``[PAD]`` weighs 0.0, and ``reduceat`` adds the rest of the run to it
+    pairwise, bit for bit as ``np.add.reduce`` sums the run's features from
+    its 0.0 start, at every run length. The gradient is one ``bincount``
+    over the same slice. The weights update in place.
     """
     batches = list(stream)
     train = batches[0].train if batches else ()
     if any(batch.train is not train for batch in batches):
         raise ValueError("the batches of one stream must index one train list")
-    # two comments may share a text and differ in label: matrix rows by text,
+    # two comments may share a text and differ in label: runs by text,
     # labels by train row
     texts = [c.text for c in train]
     row_of = {text: row for row, text in enumerate(dict.fromkeys(texts))}
     text_rows = np.fromiter(map(row_of.__getitem__, texts), np.intp, len(texts))
     is_satd = np.array([c.label is Label.SATD for c in train], dtype=np.float64)
     item_rows = np.fromiter(chain.from_iterable(b.rows for b in batches), np.intp)
-    matrix_rows, labels = text_rows[item_rows], is_satd[item_rows]
-    matrix = presence_rows(vocab, words, list(row_of), max_seq_len)
-    # with no row over 127 ids, the sums read ``ids`` whole, so a batch's one
-    # gather feeds both its row sums and its gradient
-    one_gather = matrix.short is matrix.ids
+    labels = is_satd[item_rows]
+    ids, starts = presence_rows(vocab, words, list(row_of), max_seq_len)
+    # every item's run in stream order; item i's run is layout[bounds[i]:bounds[i + 1]]
+    run_rows = text_rows[item_rows]
+    lens = np.diff(starts, append=len(ids))[run_rows]
+    bounds = np.concatenate(([0], np.cumsum(lens)))
+    # the index built in place and then replaced by the ids it gathers, so
+    # that the fit's peak memory holds one index array at a time
+    layout = np.repeat(starts[run_rows] - bounds[:-1], lens)
+    layout += np.arange(len(layout))
+    layout = ids[layout]
     lr, decay = hyper.learning_rate, 1.0 - hyper.learning_rate * hyper.l2
     w = np.zeros(vocab.size, dtype=np.float64)
     b = 0.0
@@ -175,9 +135,9 @@ def train_linear(
     with np.errstate(over="ignore"):
         for batch in batches:
             start, end = end, end + len(batch.rows)
-            rows, y, n = matrix_rows[start:end], labels[start:end], end - start
-            block = matrix.ids[rows]
-            z = (w[block].sum(axis=1) if one_gather else matrix.sums(w, rows)) + b
+            y, n = labels[start:end], end - start
+            block = layout[bounds[start]:bounds[end]]
+            z = np.add.reduceat(w[block], bounds[start:end] - bounds[start]) + b
             p = logistic(z)
             # stable BCE: log(1+e^z) - y*z, plus the quadratic penalty; a
             # reduce over n is what np.mean computes
@@ -187,10 +147,9 @@ def train_linear(
                 raise RunError(f"non-finite loss at epoch {batch.epoch} batch {batch.batch_index}")
             g = p - y
             # each feature sums its items' g from 0.0 in item order; the pad
-            # bin collects the padding's terms and is dropped
-            weights = np.repeat(g, block.shape[1])
-            grad = np.bincount(block.ravel(), weights=weights, minlength=vocab.size)
-            grad[matrix.pad] = 0.0
+            # bin collects each run's leading term and is dropped
+            grad = np.bincount(block, weights=np.repeat(g, lens[start:end]), minlength=vocab.size)
+            grad[vocab.pad_id] = 0.0
             grad /= n
             # w = decay * w - lr * grad, in place
             w *= decay

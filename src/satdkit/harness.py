@@ -141,8 +141,10 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError(f"threshold must be in [0, 1], got {self.threshold}")
-        if self.max_seq_len < 2:
-            raise ConfigError(f"max_seq_len must be >= 2, got {self.max_seq_len}")
+        if not 2 <= self.max_seq_len <= sys.maxsize:
+            raise ConfigError(
+                f"max_seq_len must be in [2, {sys.maxsize}], got {self.max_seq_len}"
+            )
         if not 0.0 <= self.vocab_threshold < 1.0:
             raise ConfigError(
                 f"vocab_threshold must be in [0, 1), got {self.vocab_threshold}"

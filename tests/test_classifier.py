@@ -13,7 +13,6 @@ from satdkit.augment import Batch, SamplerConfig, dup_augment, fmr_batches, plai
 from satdkit.classifier import (
     LinearHyper,
     LinearModelState,
-    PairwiseRows,
     logistic,
     mat_score,
     predict_linear,
@@ -183,29 +182,37 @@ def test_train_linear_is_bit_exact_to_per_item_loop(seed, hyper):
         assert got.weights.any(), name
 
 
-def _pairwise_case(lengths, seed):
-    """Rows of ``lengths`` consecutive ids into seeded random weights of
-    mixed magnitude; id 0 is the pad and weighs 0."""
+def _run_case(lengths, seed):
+    """Pad-led runs of ``lengths`` consecutive ids into seeded random weights
+    of mixed magnitude; id 0 is the pad and weighs 0."""
     rng = np.random.default_rng(seed)
     total = int(sum(lengths))
     w = np.concatenate(([0.0], rng.standard_normal(total) * 10.0 ** rng.integers(-4, 5, total)))
     ids = np.arange(1, total + 1)
     starts = np.cumsum(lengths) - lengths
-    want = np.array([np.add.reduce(w[ids[s:s + n]]) for s, n in zip(starts, lengths)])
-    return PairwiseRows.from_flat(ids, np.asarray(lengths), pad=0), w, want
+    runs = [ids[s:s + n] for s, n in zip(starts, lengths)]
+    want = np.array([np.add.reduce(w[run]) for run in runs])
+    return runs, w, want
 
 
-def test_pairwise_row_sums_equal_add_reduce_of_each_row():
-    # every length 0..400 three times in one layout (wider than 127 columns),
-    # in a shuffled row order, and each length alone in its own layout
+def _reduceat_runs(runs, w):
+    """Each run's sum as ``train_linear`` takes it: the runs back to back,
+    each led by the pad, in one ``np.add.reduceat``."""
+    lens = np.array([len(run) + 1 for run in runs])
+    block = np.concatenate([np.empty(0, np.intp)] + [np.r_[0, run] for run in runs])
+    return np.add.reduceat(w[block], np.cumsum(lens) - lens)
+
+
+def test_pad_led_run_sums_equal_add_reduce_of_each_run():
+    # every length 0..400 three times in one layout, in a shuffled run
+    # order, and each length alone in its own layout
     lengths = np.repeat(np.arange(401), 3)
-    rows, w, want = _pairwise_case(lengths, 11)
+    runs, w, want = _run_case(lengths, 11)
     order = np.random.default_rng(12).permutation(len(lengths))
-    assert np.array_equal(rows.sums(w, order), want[order])
+    assert np.array_equal(_reduceat_runs([runs[i] for i in order], w), want[order])
     for n in range(401):
-        rows, w, want = _pairwise_case([n], n)
-        assert np.array_equal(rows.sums(w, np.array([0])), want), n
-        assert rows.ids.shape[1] == 8 * max(1, n // 8) + 7
+        runs, w, want = _run_case([n], n)
+        assert np.array_equal(_reduceat_runs(runs, w), want), n
 
 
 def test_presence_rows_equal_presence_features_text_by_text():
@@ -221,14 +228,17 @@ def test_presence_rows_equal_presence_features_text_by_text():
         "value w03 parser w06 cache w03",  # duplicate text
         _long_text(random.Random(3)),
     ]
+    pad = ORACLE_VOCAB.pad_id
     for n in (2, 3, 10, 128, 1024):
-        matrix = presence_rows(ORACLE_VOCAB, words, texts, n)
-        assert matrix.ids.shape[0] == len(texts)
-        for row, text in zip(matrix.ids, texts):
-            got = tuple(row[row != matrix.pad].tolist())
+        ids, starts = presence_rows(ORACLE_VOCAB, words, texts, n)
+        assert len(starts) == len(texts)
+        for run, text in zip(np.split(ids, starts[1:]), texts):
+            assert run[0] == pad, (n, text[:20])
+            got = tuple(run[1:].tolist())
             assert got == presence_features(ORACLE_VOCAB, words[text], n), (n, text[:20])
     assert len(presence_features(ORACLE_VOCAB, words[texts[-1]], 1024)) > 127
-    assert presence_rows(ORACLE_VOCAB, words, [], 128).ids.shape[0] == 0
+    ids, starts = presence_rows(ORACLE_VOCAB, words, [], 128)
+    assert len(ids) == len(starts) == 0
 
 
 @pytest.mark.parametrize("field", ["learning_rate", "l2"])

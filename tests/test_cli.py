@@ -9,7 +9,7 @@ import pytest
 
 from helpers import planted_rows, write_corpus, write_planted_corpus
 from satdkit.cli import build_parser, main
-from satdkit.corpus import LabelMapping, load_collection
+from satdkit.corpus import Label, LabelMapping, load_collection
 from satdkit.harness import CONFIG_KEYS
 from satdkit.vocab import char_base_vocabulary
 
@@ -385,6 +385,42 @@ def test_vocab_build_makes_parent_directories(tmp_path, capsys):
     assert code == 0
     assert vocab_path.read_text(encoding="utf-8").startswith("[UNK]\n[PAD]\n")
     assert csv_path.read_text(encoding="utf-8").startswith("token,project_count")
+
+
+def test_vocab_threshold_key_moves_the_vocabulary_and_the_run(tmp_path, capsys):
+    # each project has one word of its own: in a quarter of the projects, so
+    # not strictly more than the default 0.25, but more than 0.0
+    manifest = write_corpus(tmp_path / "data", {
+        f"P{i}": planted_rows(i, 40, 4) + [(f"solo{name}word only here", Label.NON_SATD)]
+        for i, name in enumerate(("alpha", "bravo", "carol", "delta"))
+    })
+    tokens = {}
+    for threshold in (None, "0.0"):
+        vocab_path = tmp_path / f"vocab_{threshold}.txt"
+        flags = [] if threshold is None else ["--vocab-threshold", threshold]
+        argv = ["vocab", "build", "--manifest", str(manifest), "--out", str(vocab_path)]
+        assert main(argv + flags) == 0
+        tokens[threshold] = set(vocab_path.read_text(encoding="utf-8").splitlines())
+    assert tokens[None] < tokens["0.0"]
+    assert "soloalphaword" in tokens["0.0"] - tokens[None]
+    outdir = tmp_path / "runs"
+    for flags in ([], ["--vocab-threshold", "0.0"]):
+        argv = ["run", "--manifest", str(manifest), "--scenario", "cross", "--epochs", "1",
+                "--outdir", str(outdir)]
+        assert main(argv + flags) == 0
+    capsys.readouterr()
+    assert len([p for p in outdir.iterdir() if (p / "report.json").exists()]) == 2
+
+
+def test_max_seq_len_past_a_c_long_is_config_error(tmp_path, capsys):
+    manifest = write_planted_corpus(tmp_path / "data", n_total=40, n_satd=4, seed=4)
+    code = main(["run", "--manifest", str(manifest), "--max-seq-len", "1" + "0" * 400,
+                 "--outdir", str(tmp_path / "runs")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"config error: max_seq_len must be in [2, {sys.maxsize}], got 1000")
+    assert "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_failed_export_leaves_no_batch_file(tmp_path, capsys):
