@@ -2,8 +2,9 @@
 
 Random train/test splits of an imbalanced project can leave the test side
 with almost no minority examples, which makes single-split scores noisy.
-The fold planner shuffles each class separately (seeded) and deals them
-round-robin, so every fold's minority count stays within 1 of the
+The fold planner shuffles each class separately (seeded), lists the SATD
+ids and then the others, and gives fold j every k-th listed id from
+position j, so every fold's minority count stays within 1 of the
 proportional share. Scores are precision/recall/F1 on the minority class;
 the per-project statistic is the unweighted mean of the fold F1 values.
 """

@@ -38,8 +38,7 @@ _BATCH_STREAM = 2
 
 T = TypeVar("T")
 
-DUP_SCOPE_TRIGGERED = "triggered"
-DUP_SCOPE_ALL = "all"
+DUP_SCOPES = ("triggered", "all")
 
 
 def seeded_rng(seed: int, *key: int) -> np.random.Generator:
@@ -176,7 +175,7 @@ def _fmr_stream(
 def dup_augment(
     train: list[Comment],
     lex: TriggerLexicon,
-    scope: str = DUP_SCOPE_TRIGGERED,
+    scope: str = "triggered",
     reserved: Iterable[Comment] = (),
     stripped: dict[str, str] | None = None,
 ) -> tuple[list[Comment], int]:
@@ -195,7 +194,7 @@ def dup_augment(
     Returns the augmented list (originals untouched, duplicates appended in
     scan order) and the duplicate count.
     """
-    if scope not in (DUP_SCOPE_TRIGGERED, DUP_SCOPE_ALL):
+    if scope not in DUP_SCOPES:
         raise ValueError(f"unknown dup scope {scope!r}")
     if stripped is None:
         stripped = {}
@@ -210,7 +209,7 @@ def dup_augment(
         text = stripped.get(c.text)
         if text is None:
             text = stripped[c.text] = remove_triggers(lex, c.text)
-        if (scope == DUP_SCOPE_TRIGGERED and text == c.text) or is_marker_only(text):
+        if (scope == "triggered" and text == c.text) or is_marker_only(text):
             continue
         next_id[c.project] += 1
         duplicates.append(

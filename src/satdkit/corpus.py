@@ -62,33 +62,32 @@ class Comment:
 
 @dataclass(frozen=True)
 class LabelMapping:
-    """Ordered exact-match rules from raw annotation strings to binary labels.
+    """Exact-match rules from raw annotation strings to binary labels, one
+    label per pattern (so rule order does not matter).
 
     ``default`` applies to any *non-empty* raw label not matched by a rule;
     when it is None, unmatched labels are rejected and ingestion fails.
     """
 
-    rules: tuple[tuple[str, Label], ...]
+    rules: dict[str, Label]
     default: Label | None = None
 
     def map(self, raw_label: str) -> Label:
-        for pattern, label in self.rules:
-            if raw_label == pattern:
-                return label
-        if self.default is not None and raw_label != "":
-            return self.default
-        raise DataError(f"unmapped raw label {raw_label!r}")
+        label = self.rules.get(raw_label, self.default if raw_label else None)
+        if label is None:
+            raise DataError(f"unmapped raw label {raw_label!r}")
+        return label
 
     @classmethod
     def standard(cls) -> "LabelMapping":
         """Mapping for the public datasets: the explicit 'no debt' annotation
         is negative, every other non-empty annotation counts as SATD."""
-        return cls(rules=(("WITHOUT_CLASSIFICATION", Label.NON_SATD),), default=Label.SATD)
+        return cls(rules={"WITHOUT_CLASSIFICATION": Label.NON_SATD}, default=Label.SATD)
 
 
 def load_label_mapping(path: str | Path) -> LabelMapping:
-    """Parse a mapping file of ordered ``pattern -> SATD|NON_SATD`` lines,
-    each pattern at most once.
+    """Parse a mapping file of ``pattern -> SATD|NON_SATD`` lines, each
+    pattern at most once, so their order does not matter.
 
     Comments follow :func:`strip_comment`; the pattern ``*`` sets the default
     for unmatched non-empty labels.
@@ -112,7 +111,7 @@ def load_label_mapping(path: str | Path) -> LabelMapping:
     if not targets:
         raise DataError(f"{path}: mapping file defines no rules")
     default = targets.pop("*", None)
-    return LabelMapping(rules=tuple(targets.items()), default=default)
+    return LabelMapping(rules=targets, default=default)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,15 @@
 """Evaluation plumbing: stratified folds, hold-one-out splits, and metrics.
 
-Fold plans deal the two label strata round-robin (one continuing deal index
-across strata), which keeps every fold's minority count within 1 of the
-proportional share and every fold size within 1 of n_total/k. Splits and
-metrics are pure and deterministic; nothing here rounds until rendering.
+Fold plans deal the shuffled SATD ids and then the shuffled non-SATD ids
+as one list, and fold j takes every k-th dealt id from position j. That
+keeps every fold's minority count within 1 of the proportional share and
+every fold size within 1 of n_total/k. Splits and metrics are pure and
+deterministic; nothing here rounds until rendering.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -62,9 +64,10 @@ class MetricResult:
 def stratified_kfold(dataset: ProjectDataset, k: int = 10, *, seed: int) -> FoldPlan:
     """Stratified k-fold partition of a project's comment ids.
 
-    SATD and non-SATD ids are shuffled independently (seeded) and dealt
-    round-robin with a single continuing deal index, so per-fold class
-    counts and fold sizes stay within 1 of their proportional shares.
+    SATD and non-SATD ids are shuffled independently (seeded) and dealt as
+    one list, SATD first; fold j takes every k-th dealt id from position j,
+    so per-fold class counts and fold sizes stay within 1 of their
+    proportional shares.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
@@ -76,15 +79,8 @@ def stratified_kfold(dataset: ProjectDataset, k: int = 10, *, seed: int) -> Fold
     non_ids = [c.id for c in dataset.comments if c.label is not Label.SATD]
     satd_order = seeded_rng(seed, _FOLD_STREAM, 0).permutation(len(satd_ids))
     non_order = seeded_rng(seed, _FOLD_STREAM, 1).permutation(len(non_ids))
-    folds: list[list[int]] = [[] for _ in range(k)]
-    deal = 0
-    for i in satd_order:
-        folds[deal % k].append(satd_ids[i])
-        deal += 1
-    for i in non_order:
-        folds[deal % k].append(non_ids[i])
-        deal += 1
-    plan = FoldPlan(k=k, folds=tuple(tuple(f) for f in folds), seed=seed)
+    dealt = [satd_ids[i] for i in satd_order] + [non_ids[i] for i in non_order]
+    plan = FoldPlan(k=k, folds=tuple(tuple(dealt[j::k]) for j in range(k)), seed=seed)
     assigned = [cid for fold in plan.folds for cid in fold]
     if len(assigned) != dataset.n_total or len(set(assigned)) != len(assigned):
         raise RuntimeError("fold plan does not partition the dataset")
@@ -113,19 +109,11 @@ def compute_metrics(predictions: Sequence[Label], truth: Sequence[Label]) -> Met
         )
     if not truth:
         raise ValueError("cannot compute metrics over zero comments")
-    tp = fp = fn = tn = 0
-    for pred, actual in zip(predictions, truth):
-        if pred is Label.SATD:
-            if actual is Label.SATD:
-                tp += 1
-            else:
-                fp += 1
-        else:
-            if actual is Label.SATD:
-                fn += 1
-            else:
-                tn += 1
-    return MetricResult.from_counts(tp, fp, fn, tn)
+    # (predicted SATD, actually SATD) pairs; any non-Label value counts as non-SATD
+    tally = Counter((p is Label.SATD, t is Label.SATD) for p, t in zip(predictions, truth))
+    return MetricResult.from_counts(
+        tally[True, True], tally[True, False], tally[False, True], tally[False, False]
+    )
 
 
 def fold_plan_to_dict(plan: FoldPlan) -> dict:

@@ -39,6 +39,7 @@ from types import UnionType
 from typing import Callable, Iterable, Iterator, get_args, get_origin, get_type_hints
 
 from .augment import (
+    DUP_SCOPES,
     Batch,
     SamplerConfig,
     dup_augment,
@@ -83,7 +84,6 @@ SCENARIOS = ("intra", "cross")
 AUGMENTATIONS = ("none", "fmr", "dup_fmr")
 CLASSIFIERS = ("linear", "mat_strict", "mat_fuzzy", "external")
 VOCAB_SCOPES = ("train", "all")
-DUP_SCOPES = ("triggered", "all")
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +332,14 @@ def report_from_dict(payload: object) -> EvalReport:
         raise DataError(f"expected a report object, got {type(payload).__name__}")
     if payload.get("format") != REPORT_FORMAT:
         raise DataError(f"unsupported report format {payload.get('format')!r}")
-    return _from_json(EvalReport, payload, "")
+    report = _from_json(EvalReport, payload, "")
+    if report.scenario not in SCENARIOS:
+        raise DataError(
+            f"scenario: expected {'|'.join(SCENARIOS)}, got {reprlib.repr(report.scenario)}"
+        )
+    if not report.projects:
+        raise DataError("projects: expected at least one project, got []")
+    return report
 
 
 def report_to_json(report: EvalReport) -> str:
@@ -361,7 +368,7 @@ def render_markdown(report: EvalReport) -> str:
     if not report.projects:
         raise RunError("nothing to render")
     title = "Intra-project F1 (mean over folds)" if report.scenario == "intra" else \
-        "Cross-project F1 (19-to-1 hold-one-out)"
+        f"Cross-project F1 ({len(report.projects) - 1}-to-1 hold-one-out)"
     lines = [
         f"# {title}",
         "",
@@ -467,30 +474,21 @@ def _unit_specs(
                 )
         payload = {"scenario": "intra", "k": config.k, "seed": config.seed, "projects": plans}
         return specs, payload
-    splits = mto_splits(selected)
-    for split in splits:
-        train: list[Comment] = []
-        for name in split.train_projects:
-            train.extend(selected.get(name).comments)
-        test = selected.get(split.test_project).comments
+    splits = [
+        {"test_project": s.test_project, "train_projects": list(s.train_projects)}
+        for s in mto_splits(selected)
+    ]
+    for ds in selected.projects:
         specs.append(
             UnitSpec(
-                project=split.test_project,
-                unit=split.test_project,
-                train=tuple(train),
-                test=tuple(test),
-                sampler_seed=derive_seed(config.seed, "cross", split.test_project),
+                project=ds.project,
+                unit=ds.project,
+                train=tuple(c for o in selected.projects if o is not ds for c in o.comments),
+                test=ds.comments,
+                sampler_seed=derive_seed(config.seed, "cross", ds.project),
             )
         )
-    payload = {
-        "scenario": "cross",
-        "seed": config.seed,
-        "splits": [
-            {"test_project": s.test_project, "train_projects": list(s.train_projects)}
-            for s in splits
-        ],
-    }
-    return specs, payload
+    return specs, {"scenario": "cross", "seed": config.seed, "splits": splits}
 
 
 @dataclass(frozen=True)

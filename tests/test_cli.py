@@ -487,6 +487,14 @@ def test_export_and_import_commands(tmp_path, capsys):
     assert "cover all" in out
 
 
+def test_import_predictions_without_a_predictions_file_is_config_error(tmp_path, capsys):
+    manifest = write_planted_corpus(tmp_path / "data", n_total=40, n_satd=4, seed=4)
+    assert main(["import-predictions", "--manifest", str(manifest), "--k", "4"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: a predictions file is required (predictions_path)\n"
+    )
+
+
 def test_report_rerender(tmp_path, capsys):
     manifest = write_planted_corpus(tmp_path / "data", n_total=120, n_satd=12, seed=4)
     outdir = tmp_path / "runs"
@@ -576,12 +584,16 @@ UNIT = ("projects", 0, "units", 0)
     _mistyped("projects", 0, "f1", float("nan")),
     _mistyped(*UNIT, "metrics", "recall", float("inf")),
     _mistyped("average", "precision", float("-inf")),
+    _mistyped("projects", []),
+    _mistyped("scenario", "bogus"),
+    _mistyped("format", "eval-report@0"),
 ], ids=["not_json", "no_projects", "not_object", "missing", "project_precision_str",
         "project_recall_bool", "project_f1_list", "average_f1_str", "average_precision_bool",
         "unit_tp_float", "unit_fn_bool", "unit_f1_str", "unit_recall_null", "project_name_int",
         "unit_name_null", "config_list", "seed_str", "scenario_int", "digest_null",
         "unit_error_int", "project_note_int", "unit_tn_missing", "average_missing",
-        "average_null", "project_f1_nan", "unit_recall_inf", "average_precision_neg_inf"])
+        "average_null", "project_f1_nan", "unit_recall_inf", "average_precision_neg_inf",
+        "projects_empty", "scenario_unknown", "format_older"])
 def test_report_rejects_malformed_report(tmp_path, capsys, content):
     source = tmp_path / "report.json"
     if content is not None:

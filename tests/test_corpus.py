@@ -91,7 +91,7 @@ def test_load_project_oversized_field_names_file_and_row(tmp_path):
 def test_load_project_unmapped_label(tmp_path):
     path = tmp_path / "p.csv"
     write_dataset_csv(path, [("P", "text", "MYSTERY")])
-    strict_mapping = LabelMapping(rules=(("KNOWN", Label.SATD),), default=None)
+    strict_mapping = LabelMapping(rules={"KNOWN": Label.SATD}, default=None)
     with pytest.raises(DataError, match="MYSTERY"):
         load_project(path, strict_mapping, "P")
 
@@ -109,6 +109,13 @@ def test_load_project_rejects_empty_text_losslessly(tmp_path):
     assert ds.n_rejected == 2
     assert ds.n_total + ds.n_rejected == 4
     assert [c.id for c in ds.comments] == [0, 1]
+
+
+def test_load_project_with_only_empty_rows(tmp_path):
+    path = tmp_path / "p.csv"
+    write_dataset_csv(path, [("P", "  ", "DESIGN"), ("P", "", "WITHOUT_CLASSIFICATION")])
+    with pytest.raises(DataError, match=r"p\.csv: no usable rows \(2 rejected\)"):
+        load_project(path, MAPPING, "P")
 
 
 def test_load_project_project_field_mismatch(tmp_path):
@@ -274,10 +281,10 @@ def test_load_label_mapping_hash_inside_pattern(tmp_path):
         encoding="utf-8",
     )
     mapping = load_label_mapping(path)
-    assert mapping.rules == (
-        ("C#_DEBT", Label.SATD),
-        ("WITHOUT_CLASSIFICATION", Label.NON_SATD),
-    )
+    assert mapping.rules == {
+        "C#_DEBT": Label.SATD,
+        "WITHOUT_CLASSIFICATION": Label.NON_SATD,
+    }
 
 
 @pytest.mark.parametrize("text,lineno,pattern", [
@@ -303,6 +310,18 @@ def test_load_label_mapping_bad_target(tmp_path):
         load_label_mapping(path)
     with pytest.raises(DataError, match="cannot read label mapping"):
         load_label_mapping(tmp_path)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("* -> SATD\nDESIGN SATD\n", ":2: expected 'pattern -> SATD|NON_SATD'"),
+    ("# no rules yet\n\n", ": mapping file defines no rules"),
+], ids=["no_arrow", "no_rules"])
+def test_load_label_mapping_rejects_malformed_file(tmp_path, text, message):
+    path = tmp_path / "mapping.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError) as excinfo:
+        load_label_mapping(path)
+    assert str(excinfo.value) == f"{path}{message}"
 
 
 def test_comment_invariants():

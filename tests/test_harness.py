@@ -102,6 +102,13 @@ def test_config_unknown_key(tmp_path):
         build_config(overrides={"mystery": "1"})
 
 
+def test_config_line_without_equals_sign(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("manifest = m.tsv\nseed 4\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"run\.cfg:2: expected 'key = value'"):
+        build_config(cfg_file)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError, match="manifest"):
         build_config(overrides={})
@@ -121,6 +128,11 @@ def test_config_validation():
         for value in ("nan", "inf"):
             with pytest.raises(ConfigError, match=f"{key} must be >= .* and finite"):
                 build_config(overrides={"manifest": "m", key: value})
+    for value in ("-0.1", "1.0"):
+        with pytest.raises(ConfigError, match=r"vocab_threshold must be in \[0, 1\)"):
+            build_config(overrides={"manifest": "m", "vocab_threshold": value})
+    with pytest.raises(ConfigError, match="epochs must be >= 0, got -1"):
+        build_config(overrides={"manifest": "m", "epochs": "-1"})
 
 
 def test_invalid_config_cannot_be_constructed():
@@ -145,6 +157,11 @@ def test_projects_order_names_one_experiment():
     assert b_a.projects == ("Alpha", "Beta")
     assert a_b == b_a
     assert a_b.digest() == b_a.digest()
+
+
+def test_projects_none_selects_every_project():
+    every = build_config(overrides={"manifest": "m"})
+    assert build_config(overrides={"manifest": "m", "projects": "none"}) == every
 
 
 def test_projects_filter_unknown_name(tmp_path):
@@ -395,6 +412,9 @@ def test_degenerate_project_flagged(tmp_path):
     assert project.note == "project has no SATD comments"
     assert project.f1 == 0.0
     assert all(u.metrics.f1 == 0.0 for u in project.units)
+    assert render_markdown(report).endswith(
+        "\nNotes:\n- `NoDebt`: project has no SATD comments\n"
+    )
 
 
 def test_failed_unit_recorded_not_fatal(tmp_path):
@@ -683,6 +703,10 @@ def test_import_predictions_validation(tmp_path):
     with pytest.raises(DataError, match="duplicate"):
         import_predictions(duplicate)
 
+    blank_lines = tmp_path / "blank_lines.jsonl"
+    blank_lines.write_text('\n{"project": "A", "id": 0, "score": 0.5}\n  \n', encoding="utf-8")
+    assert import_predictions(blank_lines) == {("A", 0): 0.5}
+
 
 @pytest.mark.parametrize("bad_id", ["1.5", "true", '"1"'])
 def test_import_predictions_rejects_non_integer_ids(tmp_path, bad_id):
@@ -878,6 +902,7 @@ def test_render_markdown_layout():
     assert "| Project | Precision | Recall | F1 |" in text
     assert "| A | 1.000 | 1.000 | 1.000 |" in text
     assert "| **Average** | 0.750 | 0.750 | 0.750 |" in text
+    assert text.startswith("# Cross-project F1 (1-to-1 hold-one-out)\n")
 
 
 def test_render_empty_report_rejected(tmp_path):

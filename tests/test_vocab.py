@@ -55,6 +55,8 @@ def test_load_base_vocabulary(tmp_path):
     assert vocab.tokens == tuple(tokens)
     assert vocab.index["todo"] == 8
     assert vocab.unk_id == 0
+    path.write_text("\n".join(tokens) + "\n\n", encoding="utf-8")  # a final blank line
+    assert load_base_vocabulary(path).tokens == tuple(tokens)
 
 
 @pytest.mark.parametrize("newline", ["\r\n", "\r"])
