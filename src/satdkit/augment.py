@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,8 +35,6 @@ from .lexicon import find_triggers  # noqa: F401  (bench/tracer.py patches this 
 # even under one experiment seed.
 _SHUFFLE_STREAM = 1
 _BATCH_STREAM = 2
-
-T = TypeVar("T")
 
 DUP_SCOPES = ("triggered", "all")
 
@@ -115,26 +113,22 @@ def plain_batches(train: list[Comment], cfg: SamplerConfig) -> Iterator[Batch]:
             yield Batch(train, rows, adjusted=False, epoch=epoch, batch_index=batch_index)
 
 
-def _is_satd(c: Comment) -> bool:
-    return c.label is Label.SATD
-
-
 def rebalance_items(
-    items: tuple[T, ...],
-    satd_pool: Sequence[T],
+    rows: tuple[int, ...],
+    satd_pool: Sequence[int],
     target_ratio: float,
     rng: np.random.Generator,
-    is_satd: Callable[[T], bool] = _is_satd,
-) -> tuple[T, ...]:
-    """Replace majority items until count(non) <= target_ratio * count(satd).
+    is_satd: Sequence[bool],
+) -> tuple[int, ...]:
+    """Replace majority rows until count(non) <= target_ratio * count(satd).
 
-    One replacement at a time: a uniformly chosen majority slot receives a
-    uniform draw (with replacement) from the minority pool. Batch size is
-    preserved; an already balanced batch comes back unchanged. Items are
-    comments, or rows of a train list with ``is_satd`` reading their labels.
+    Rows index a train list; ``is_satd[row]`` is that row's label. One
+    replacement at a time: a uniformly chosen majority slot receives a
+    uniform draw (with replacement) from the minority pool of rows. Batch
+    size is preserved; an already balanced batch comes back unchanged.
     """
-    out = list(items)
-    non_positions = [i for i, item in enumerate(out) if not is_satd(item)]
+    out = list(rows)
+    non_positions = [i for i, row in enumerate(out) if not is_satd[row]]
     n_satd = len(out) - len(non_positions)
     while len(non_positions) > target_ratio * n_satd:
         victim = int(rng.integers(len(non_positions)))
@@ -166,7 +160,7 @@ def _fmr_stream(
     for batch in plain_batches(train, cfg):
         rng = seeded_rng(cfg.seed, _BATCH_STREAM, batch.epoch, batch.batch_index)
         if rng.random() < cfg.trigger_prob:
-            rows = rebalance_items(batch.rows, pool, cfg.target_ratio, rng, is_satd.__getitem__)
+            rows = rebalance_items(batch.rows, pool, cfg.target_ratio, rng, is_satd)
             yield replace(batch, rows=rows, adjusted=True)
         else:
             yield batch

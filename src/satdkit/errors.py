@@ -10,9 +10,9 @@ a ConfigError. ``read_lines`` ends the lines of the seven line-oriented inputs
 (config, manifest, label mapping, base vocabulary, denylist, lexicons and
 predictions) at LF, CR LF and CR only: a form feed or U+2028 stays in its line.
 
-``write_output`` writes every output file (reports, manifests, batch exports,
-vocabularies, candidate reports) whole or not at all, making its parent
-directories and keeping line ends exactly as given.
+``write_output`` writes every output file (reports, run logs, manifests,
+batch exports, vocabularies, candidate reports) whole or not at all, making
+its parent directories and keeping line ends exactly as given.
 """
 
 import os

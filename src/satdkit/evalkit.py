@@ -88,7 +88,8 @@ def stratified_kfold(dataset: ProjectDataset, k: int = 10, *, seed: int) -> Fold
 
 
 def mto_splits(collection: CorpusCollection) -> list[MtoSplit]:
-    """One hold-one-out split per project, in collection order."""
+    """One hold-one-out split per project, in collection order; each split's
+    training projects are in name order."""
     if len(collection) < 2:
         raise DataError(
             f"collection {collection.name!r} needs at least 2 projects for "
@@ -96,7 +97,7 @@ def mto_splits(collection: CorpusCollection) -> list[MtoSplit]:
         )
     names = collection.project_names
     return [
-        MtoSplit(test_project=name, train_projects=tuple(n for n in names if n != name))
+        MtoSplit(test_project=name, train_projects=tuple(n for n in sorted(names) if n != name))
         for name in names
     ]
 

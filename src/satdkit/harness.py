@@ -12,7 +12,7 @@ Two scenarios:
   augmentation variants for a fixed seed); train on k-1 folds, evaluate on
   the held-out fold; the per-project F1 is the mean of the fold F1 values.
 * cross: per project, train on the union of all other projects' comments
-  and evaluate on the held-out project.
+  in name order (never the manifest's) and evaluate on the held-out project.
 
 External trainers plug in through ``export_batches`` (the exact seeded batch
 stream plus split definitions) and ``import_predictions`` (per-comment
@@ -474,21 +474,15 @@ def _unit_specs(
                 )
         payload = {"scenario": "intra", "k": config.k, "seed": config.seed, "projects": plans}
         return specs, payload
-    splits = [
-        {"test_project": s.test_project, "train_projects": list(s.train_projects)}
-        for s in mto_splits(selected)
-    ]
-    for ds in selected.projects:
-        specs.append(
-            UnitSpec(
-                project=ds.project,
-                unit=ds.project,
-                train=tuple(c for o in selected.projects if o is not ds for c in o.comments),
-                test=ds.comments,
-                sampler_seed=derive_seed(config.seed, "cross", ds.project),
-            )
-        )
-    return specs, {"scenario": "cross", "seed": config.seed, "splits": splits}
+    splits = mto_splits(selected)
+    for s in splits:
+        test = selected.get(s.test_project)
+        train = tuple(c for name in s.train_projects for c in selected.get(name).comments)
+        seed = derive_seed(config.seed, "cross", test.project)
+        specs.append(UnitSpec(test.project, test.project, train, test.comments, seed))
+    payload = [{"test_project": s.test_project, "train_projects": list(s.train_projects)}
+               for s in splits]
+    return specs, {"scenario": "cross", "seed": config.seed, "splits": payload}
 
 
 @dataclass(frozen=True)
@@ -790,14 +784,15 @@ def execute_run(config: ExperimentConfig) -> Path:
     """Run the experiment and persist all artifacts.
 
     Writes ``<outdir>/<digest>/{report.json,report.csv,report.md,folds.json,
-    log.txt}``; report files are atomic and deterministic, wall-clock detail
-    goes to log.txt only.
+    log.txt}``, each file whole; report files are deterministic, wall-clock
+    detail goes to log.txt only, which is written when the run ends (a failed
+    run's too).
     """
     run = prepare_run(config)
     scorer = _scorer(run)  # a run that cannot start leaves no directory
     run_dir = Path(config.outdir) / config.digest()
-    run_dir.mkdir(parents=True, exist_ok=True)
-    handler = logging.FileHandler(run_dir / "log.txt", mode="w", encoding="utf-8")
+    run_dir.mkdir(parents=True, exist_ok=True)  # an unusable outdir fails before any unit
+    handler = logging.StreamHandler(io.StringIO())
     handler.setFormatter(logging.Formatter("%(asctime)s %(levelname)s %(name)s: %(message)s"))
     pkg_logger = logging.getLogger("satdkit")
     pkg_logger.addHandler(handler)
@@ -814,6 +809,6 @@ def execute_run(config: ExperimentConfig) -> Path:
         log.info("run finished: outputs in %s", run_dir)
     finally:
         pkg_logger.removeHandler(handler)
-        handler.close()
         pkg_logger.setLevel(previous_level)
+        write_output(run_dir / "log.txt", [handler.stream.getvalue()])
     return run_dir

@@ -125,11 +125,12 @@ def test_criterion_02_fmr_statistical_contract():
 def test_criterion_03_fmr_arithmetic():
     with criterion("3. FMR arithmetic: all-majority batch of 32 -> 8/24"):
         non = [make_comment(i, f"// plain {i}", Label.NON_SATD) for i in range(32)]
-        pool = [make_comment(100 + i, "// todo fix", Label.SATD) for i in range(7)]
-        items = tuple(non)
+        satd = [make_comment(100 + i, "// todo fix", Label.SATD) for i in range(7)]
+        is_satd = [c.label is Label.SATD for c in non + satd]
+        rows, pool = tuple(range(32)), list(range(32, 39))
         for key in range(25):
-            out = rebalance_items(items, pool, 3.0, seeded_rng(key, 2, 0, 0))
-            n_satd = sum(1 for c in out if c.label is Label.SATD)
+            out = rebalance_items(rows, pool, 3.0, seeded_rng(key, 2, 0, 0), is_satd)
+            n_satd = sum(is_satd[row] for row in out)
             assert (n_satd, len(out) - n_satd) == (8, 24)
         # the same bound through the full stream: find plain batches that
         # started all-majority and check their adjusted counterparts

@@ -93,18 +93,20 @@ def test_seeded_rng_rejects_a_negative_key():
 
 
 def test_rebalance_all_majority_batch():
-    items = tuple(_train(32, 0))
-    pool = [make_comment(100 + i, "// todo", Label.SATD) for i in range(5)]
-    out = rebalance_items(items, pool, 3.0, seeded_rng(0, 2, 0, 0))
-    n_satd = sum(1 for c in out if c.label is Label.SATD)
+    train = _train(32, 0) + [make_comment(100 + i, "// todo", Label.SATD) for i in range(5)]
+    is_satd = [c.label is Label.SATD for c in train]
+    pool = [row for row, satd in enumerate(is_satd) if satd]
+    out = rebalance_items(tuple(range(32)), pool, 3.0, seeded_rng(0, 2, 0, 0), is_satd)
+    n_satd = sum(is_satd[row] for row in out)
     assert (n_satd, len(out) - n_satd) == (8, 24)
     assert len(out) == 32
 
 
 def test_rebalance_already_satisfied_unchanged():
-    items = tuple(_train(32, 10))  # 10 SATD / 22 non, 22 <= 30
-    pool = [c for c in items if c.label is Label.SATD]
-    assert rebalance_items(items, pool, 3.0, seeded_rng(0, 2, 0, 0)) == items
+    is_satd = [c.label is Label.SATD for c in _train(32, 10)]  # 10 SATD / 22 non, 22 <= 30
+    rows = tuple(range(32))
+    pool = [row for row in rows if is_satd[row]]
+    assert rebalance_items(rows, pool, 3.0, seeded_rng(0, 2, 0, 0), is_satd) == rows
 
 
 def test_fmr_zero_probability_identical_to_plain():

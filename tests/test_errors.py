@@ -9,8 +9,9 @@ from satdkit.errors import read_lines, write_output
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "satdkit"
 
-# calls that open a file, or read or write one whole
-FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+# calls that open a file, or read or write one whole; a logging.FileHandler
+# opens its file too
+FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes", "FileHandler"}
 
 
 def test_only_the_errors_module_opens_files():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    PLANTED_TRIGGERS,
     make_comment,
     planted_rows,
     write_corpus,
@@ -213,6 +214,49 @@ def test_cross_units(tmp_path):
     assert {c.project for c in specs[0].train} == {"Beta"}
     assert {c.project for c in specs[0].test} == {"Alpha"}
     assert payload["splits"][0]["train_projects"] == ["Beta"]
+
+
+def _cross_counts(manifest, **overrides):
+    """Per-project confusion counts of a cross fmr linear run."""
+    config = build_config(overrides={
+        "manifest": str(manifest), "scenario": "cross", "augmentation": "fmr",
+        "classifier": "linear", "seed": "1", "learning_rate": "1.0", **overrides,
+    })
+    report = run_experiment(prepare_run(config))
+    return {p.project: [(u.metrics.tp, u.metrics.fp, u.metrics.fn, u.metrics.tn) for u in p.units]
+            for p in report.projects}
+
+
+def _rewrite_files(root, edit):
+    for path in root.iterdir():
+        path.write_bytes(edit(path.read_bytes().replace(b"\r\n", b"\n")))
+
+
+@pytest.mark.parametrize("variant", ["reversed", "subset", "crlf", "bom"])
+def test_cross_counts_do_not_depend_on_the_manifest_form(tmp_path, variant):
+    # overlapping trigger sets put the scores near the threshold, so another
+    # train order (other seeded batches) moves counts; the manifest is not in
+    # name order, and its line order, a projects= subset of it, CRLF line
+    # ends and a byte-order mark must all give one experiment's counts
+    names = ("Echo", "Bravo", "Delta", "Alpha", "Charlie")
+    triggers = PLANTED_TRIGGERS * 2
+    projects = {name: planted_rows(20 + i, 40, 4 + i, triggers[i:i + 3])
+                for i, name in enumerate(names)}
+    manifest = write_corpus(tmp_path / "a", projects)
+    _rewrite_files(tmp_path / "a", lambda data: data)  # LF line ends throughout
+    selection = {}
+    if variant == "reversed":
+        other = write_corpus(tmp_path / "b", dict(reversed(projects.items())))
+    elif variant == "subset":
+        selection = {"projects": "Echo,Delta,Alpha"}
+        other = write_corpus(tmp_path / "b", {n: projects[n] for n in ("Echo", "Delta", "Alpha")})
+    else:
+        other = write_corpus(tmp_path / "b", projects)
+        _rewrite_files(tmp_path / "b", {
+            "crlf": lambda data: data.replace(b"\n", b"\r\n"),
+            "bom": lambda data: b"\xef\xbb\xbf" + data,
+        }[variant])
+    assert _cross_counts(other) == _cross_counts(manifest, **selection)
 
 
 # ---------------------------------------------------------------------------
@@ -472,12 +516,29 @@ def test_execute_run_layout(tmp_path):
     })
     run_dir = execute_run(config)
     assert run_dir == tmp_path / "runs" / config.digest()
-    for name in ("report.json", "report.csv", "report.md", "folds.json", "log.txt"):
-        assert (run_dir / name).exists(), name
+    assert sorted(p.name for p in run_dir.iterdir()) == [
+        "folds.json", "log.txt", "report.csv", "report.json", "report.md"
+    ]
+    log = (run_dir / "log.txt").read_text(encoding="utf-8")
+    assert [log.count(line) for line in ("run starting", ": f1=", "run finished")] == [1, 4, 1]
     payload = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
     assert payload["format"] == "eval-report@1"
     assert payload["config"]["classifier"] == "mat_strict"
     assert "outdir" not in payload["config"]
+
+
+def test_failed_run_still_writes_its_log(tmp_path):
+    manifest = write_planted_corpus(tmp_path / "data", n_total=40, n_satd=4, seed=3)
+    config = build_config(overrides={
+        "manifest": str(manifest), "scenario": "intra", "classifier": "mat_strict",
+        "k": "4", "outdir": str(tmp_path / "runs"),
+    })
+    run_dir = tmp_path / "runs" / config.digest()
+    (run_dir / "report.md").mkdir(parents=True)  # so the report write fails
+    with pytest.raises(OSError):
+        execute_run(config)
+    log = (run_dir / "log.txt").read_text(encoding="utf-8")
+    assert [log.count(line) for line in ("run starting", ": f1=", "run finished")] == [1, 4, 0]
 
 
 def test_atomic_write_uses_unique_temp_files(tmp_path):
